@@ -30,7 +30,6 @@ from .decompose import (
 )
 from .errors import (
     ArityMismatch,
-    DivisionByZero,
     InfeasibleChoice,
     NotAnArc,
     NotOddPrime,
@@ -61,7 +60,7 @@ from .geometry import (
     line_through,
     plane_build,
 )
-from .gf import FieldSpec, field_add, field_inv, field_mul, field_new
+from .gf import FieldSpec
 from .hypergraph import (
     Certificate,
     Hypergraph,

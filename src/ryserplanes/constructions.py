@@ -5,17 +5,20 @@ below is a point or line id and the output is identical across runs:
 
   truncated_plane   T(q+1): delete a point and its pencil; lines become edges.
   conic_truncated   TC(q+1): keep only the T(q+1) edges meeting C' = C - {Q}.
-  build_h1          nu glued planes; plane 1 carries the lines avoiding
-                    {Q1, P} plus the line ell through P; every other plane
-                    carries the conic family plus two stitched edges.
-  build_h2          same gluing, with each extra plane built from a 4-arc
+  build_h1          nu glued planes; every plane after the first carries the
+                    lines meeting C' and is stitched through R and C'.
+  build_h2          same gluing, with each later plane built from a 4-arc
                     {Q2, T1, T2, T3} and a marked point S instead of a conic.
   build_g1          the fixed 24-vertex, 14-edge example, decoded from its
                     positional vectors.
 
-The glued families share exactly one vertex between plane 1 and each later
-plane: the common point P.  Sides are the pencils through the deleted points,
-paired across planes, with the P-side first.
+`_glue` owns the gluing shared by H1 and H2: the vertex map, plane 1 (the
+lines avoiding {Q1, P} plus the line ell through P), the two stitched edges
+per later plane, the edge classes and the common recipe keys; each builder
+supplies only its later-plane lines and stitch points.  The glued families
+share exactly one vertex between plane 1 and each later plane: the common
+point P.  Sides are the pencils through the deleted points, paired across
+planes, with the P-side first.
 """
 
 from dataclasses import dataclass
@@ -99,87 +102,93 @@ def conic_truncated(q: int) -> Hypergraph:
     """Keep only the truncated-plane edges that meet C' = conic minus Q."""
     if q < 3:
         raise QTooSmall(f"q={q}: the deleted point must leave q conic points")
-    plane = plane_build(q)
-    deleted = plane.point_id((0, 0, 1))
-    conic = conic_canonical(plane)
-    cprime = frozenset(conic.points) - {deleted}
-    side_of, _ = _pencil_sides(plane, deleted)
-    verts = [
-        Vertex(p.id, _coords_str(p.coords), side_of[p.id])
-        for p in plane.points
-        if p.id != deleted
-    ]
-    edges = [
-        tuple(line.points)
-        for line in plane.lines
-        if deleted not in plane.line_points(line.id) and cprime & plane.line_points(line.id)
-    ]
-    return Hypergraph(q + 1, verts, edges)
+    t = truncated_plane(q)
+    # vertex ids are point ids, and no edge holds Q, so meeting C is meeting C'
+    conic = set(conic_canonical(plane_build(q)).points)
+    return Hypergraph(q + 1, t.vertices, [e for e in t.edges if conic.intersection(e)])
 
 
 # ---- glued multi-plane families ----
 
 
-class _Gluing:
-    """Shared vertex bookkeeping for the multi-plane constructions.
+def _anchors(plane: ProjectivePlane):
+    """(Q, P, tangent, ell): Q = (0:0:1), P = (0:1:0), the line PQ (tangent
+    to the canonical conic at Q) and ell, the least line through P avoiding Q."""
+    return (
+        plane.point_id((0, 0, 1)),
+        plane.point_id((0, 1, 0)),
+        plane.line_id((1, 0, 0)),
+        plane.line_id((0, 0, 1)),
+    )
 
-    Plane 1 contributes every point except Q; each later plane contributes
-    every point except Q and P, with its copy of P identified with plane 1's.
-    Extra vertices v_i (one per later plane) go on the P-side, at the end.
+
+def _glue(family, plane: ProjectivePlane, nu: int, lines, e1_point, e2_points, chosen):
+    """Glue nu copies of `plane` at P; returns (hypergraph, recipe).
+
+    Plane 1 contributes every point except Q and carries the lines off
+    {Q, P} plus ell.  Each later plane i contributes every point except Q
+    and P (its P is plane 1's), carries `lines`, and is stitched to plane 1
+    by e1 = (ell - {P}) + e1_point and e2 = e2_points + v_i, both points
+    taken in plane i.  The extra vertices v_i go last, on the P-side.
+    Classes: plane 1 with every e1, then each later plane with its e2.
+    The recipe is `chosen` plus the choices and bookkeeping made here.
     """
-
-    def __init__(self, plane: ProjectivePlane, nu: int):
-        self.plane = plane
-        self.nu = nu
-        self.Q = plane.point_id((0, 0, 1))
-        self.P = plane.point_id((0, 1, 0))
-        self.tangent = plane.line_id((1, 0, 0))  # the line PQ, tangent to the conic
-        self.ell = plane.line_id((0, 0, 1))  # least line through P avoiding Q
-        self.side_of, self.side_lines = _pencil_sides(plane, self.Q, self.tangent)
-        self.verts = []
-        self.vmap = {}  # (plane index, point id) -> vertex id
-        vid = 0
-        for pid in range(len(plane.points)):
-            if pid == self.Q:
+    Q, P, tangent, ell = _anchors(plane)
+    side_of, side_lines = _pencil_sides(plane, Q, tangent)
+    verts = []
+    vmap = {}  # (plane index, point id) -> vertex id
+    for i in range(1, nu + 1):
+        for pid, point in enumerate(plane.points):
+            if pid == Q or (i > 1 and pid == P):
                 continue
-            self.vmap[(1, pid)] = vid
-            self.verts.append(
-                Vertex(vid, f"p1:{_coords_str(plane.points[pid].coords)}", self.side_of[pid])
-            )
-            vid += 1
-        for i in range(2, nu + 1):
-            for pid in range(len(plane.points)):
-                if pid in (self.Q, self.P):
-                    continue
-                self.vmap[(i, pid)] = vid
-                self.verts.append(
-                    Vertex(vid, f"p{i}:{_coords_str(plane.points[pid].coords)}", self.side_of[pid])
-                )
-                vid += 1
-            self.vmap[(i, self.P)] = self.vmap[(1, self.P)]
-        self.extra = {}
-        for i in range(2, nu + 1):
-            self.extra[i] = vid
-            self.verts.append(Vertex(vid, f"v{i}", 0))
-            vid += 1
+            vmap[(i, pid)] = len(verts)
+            verts.append(Vertex(len(verts), f"p{i}:{_coords_str(point.coords)}", side_of[pid]))
+    extra = {}
+    for i in range(2, nu + 1):
+        extra[str(i)] = len(verts)
+        verts.append(Vertex(len(verts), f"v{i}", 0))
 
-    def line_edge(self, i: int, line_id: int) -> tuple:
-        pts = self.plane.lines[line_id].points
-        return tuple(sorted(self.vmap[(i, pid)] for pid in pts))
+    def edge(i, pids):
+        return [vmap[(1 if pid == P else i, pid)] for pid in pids]
 
-    def checks_ell(self):
-        lp = self.plane.line_points(self.ell)
-        assert self.P in lp and self.Q not in lp
+    plane1 = [line.id for line in plane.lines if not {Q, P} & plane.line_points(line.id)]
+    edges = [edge(1, plane.lines[lid].points) for lid in sorted(plane1 + [ell])]
+    plane_edges = {"1": [0, len(edges)]}
+    e1_edges = {}
+    e2_edges = {}
+    ell_rest = edge(1, plane.line_points(ell) - {P})
+    for i in range(2, nu + 1):
+        k = str(i)
+        start = len(edges)
+        edges += [edge(i, plane.lines[lid].points) for lid in lines]
+        plane_edges[k] = [start, len(edges)]
+        e1_edges[k] = len(edges)
+        edges.append(ell_rest + edge(i, [e1_point]))
+        e2_edges[k] = len(edges)
+        edges.append(edge(i, e2_points) + [extra[k]])
+    classes = [list(range(*plane_edges["1"])) + list(e1_edges.values())]
+    for k in e2_edges:
+        classes.append(list(range(*plane_edges[k])) + [e2_edges[k]])
 
-
-def _plane1_line_ids(gl: _Gluing):
-    plane = gl.plane
-    out = [gl.ell]
-    for line in plane.lines:
-        lp = plane.line_points(line.id)
-        if gl.Q not in lp and gl.P not in lp:
-            out.append(line.id)
-    return sorted(out)
+    recipe = ConstructionRecipe(
+        family=family,
+        q=plane.q,
+        nu=nu,
+        chosen={
+            **chosen,
+            "P": P,
+            "Q": Q,
+            "ell_line": ell,
+            "tangent_line": tangent,
+            "side_lines": list(side_lines),
+            "plane_edges": plane_edges,
+            "e1_edges": e1_edges,
+            "e2_edges": e2_edges,
+            "extra_vertices": extra,
+            "edge_classes": classes,
+        },
+    )
+    return Hypergraph(plane.q + 1, verts, edges), recipe
 
 
 def build_h1(q: int, nu: int):
@@ -201,67 +210,18 @@ def build_h1(q: int, nu: int):
     if nu < 2:
         raise NuTooSmall(f"nu={nu}: at least two glued planes required")
     plane = plane_build(q)
-    gl = _Gluing(plane, nu)
-    gl.checks_ell()
+    Q, P, tangent, _ = _anchors(plane)
     conic = conic_canonical(plane)
-    cprime = sorted(set(conic.points) - {gl.Q})
+    cprime = set(conic.points) - {Q}
     # R: least point of the line PQ besides P and Q
-    R = min(p_ for p_ in plane.line_points(gl.tangent) if p_ not in (gl.P, gl.Q))
-
-    edges = []
-    plane_ranges = {}
-    e1_edges = {}
-    e2_edges = {}
-
-    p1_lines = _plane1_line_ids(gl)
-    for lid in p1_lines:
-        edges.append(gl.line_edge(1, lid))
-    plane_ranges[1] = (0, len(edges))
-
-    ell_rest = sorted(
-        gl.vmap[(1, pid)] for pid in plane.line_points(gl.ell) if pid != gl.P
-    )
-    e2_lines = sorted(
+    R = min(p_ for p_ in plane.line_points(tangent) if p_ not in (P, Q))
+    lines = [
         line.id
         for line in plane.lines
-        if gl.Q not in plane.line_points(line.id)
-        and set(cprime) & plane.line_points(line.id)
-    )
-    for i in range(2, nu + 1):
-        start = len(edges)
-        for lid in e2_lines:
-            edges.append(gl.line_edge(i, lid))
-        plane_ranges[i] = (start, len(edges))
-        e1_edges[i] = len(edges)
-        edges.append(tuple(sorted(ell_rest + [gl.vmap[(i, R)]])))
-        e2_edges[i] = len(edges)
-        edges.append(tuple(sorted([gl.vmap[(i, c)] for c in cprime] + [gl.extra[i]])))
-
-    classes = [list(range(*plane_ranges[1])) + [e1_edges[i] for i in range(2, nu + 1)]]
-    for i in range(2, nu + 1):
-        classes.append(list(range(*plane_ranges[i])) + [e2_edges[i]])
-
-    h = Hypergraph(q + 1, gl.verts, edges)
-    recipe = ConstructionRecipe(
-        family="h1",
-        q=q,
-        nu=nu,
-        chosen={
-            "P": gl.P,
-            "Q": gl.Q,
-            "R": R,
-            "ell_line": gl.ell,
-            "tangent_line": gl.tangent,
-            "conic_points": list(conic.points),
-            "side_lines": list(gl.side_lines),
-            "plane_edges": {str(i): list(rng) for i, rng in plane_ranges.items()},
-            "e1_edges": {str(i): e for i, e in e1_edges.items()},
-            "e2_edges": {str(i): e for i, e in e2_edges.items()},
-            "extra_vertices": {str(i): v for i, v in gl.extra.items()},
-            "edge_classes": classes,
-        },
-    )
-    return h, recipe
+        if Q not in plane.line_points(line.id) and cprime & plane.line_points(line.id)
+    ]
+    chosen = {"R": R, "conic_points": list(conic.points)}
+    return _glue("h1", plane, nu, lines, R, cprime, chosen)
 
 
 def _h2_arc_points(plane: ProjectivePlane, Q: int, P: int, tangent: int):
@@ -317,88 +277,29 @@ def build_h2(q: int, nu: int):
     if nu < 2:
         raise NuTooSmall(f"nu={nu}: at least two glued planes required")
     plane = plane_build(q)  # NotPrimePower for bad q
-    gl = _Gluing(plane, nu)
-    gl.checks_ell()
-    T1, T2, T3, s_candidates, closure = _h2_arc_points(plane, gl.Q, gl.P, gl.tangent)
+    Q, P, tangent, _ = _anchors(plane)
+    T1, T2, T3, s_candidates, closure = _h2_arc_points(plane, Q, P, tangent)
     S = s_candidates[0]
-    arc = (gl.Q, T1, T2, T3)
+    arc = {Q, T1, T2, T3}
 
     t1t2 = line_through(plane, T1, T2).id
     t1s = line_through(plane, T1, S).id
-    pt3 = line_through(plane, gl.P, T3).id
-    avoid = set(arc)
-    full_lines = sorted(
+    pt3 = line_through(plane, P, T3).id
+    lines = sorted(
         {t1t2, t1s, pt3}
-        | {
-            line.id
-            for line in plane.lines
-            if not (avoid & plane.line_points(line.id))
-        }
+        | {line.id for line in plane.lines if not arc & plane.line_points(line.id)}
     )
-
-    edges = []
-    plane_ranges = {}
-    e1_edges = {}
-    e2_edges = {}
-
-    p1_lines = _plane1_line_ids(gl)
-    for lid in p1_lines:
-        edges.append(gl.line_edge(1, lid))
-    plane_ranges[1] = (0, len(edges))
-
-    ell_rest = sorted(
-        gl.vmap[(1, pid)] for pid in plane.line_points(gl.ell) if pid != gl.P
-    )
-    t1t2_rest = sorted(
-        pid for pid in plane.line_points(t1t2) if pid not in (T1, T2)
-    )
-    for i in range(2, nu + 1):
-        start = len(edges)
-        for lid in full_lines:
-            edges.append(gl.line_edge(i, lid))
-        plane_ranges[i] = (start, len(edges))
-        e1_edges[i] = len(edges)
-        edges.append(tuple(sorted(ell_rest + [gl.vmap[(i, T1)]])))
-        e2_edges[i] = len(edges)
-        edges.append(
-            tuple(
-                sorted(
-                    [gl.vmap[(i, pid)] for pid in t1t2_rest]
-                    + [gl.vmap[(i, S)], gl.extra[i]]
-                )
-            )
-        )
-
-    classes = [list(range(*plane_ranges[1])) + [e1_edges[i] for i in range(2, nu + 1)]]
-    for i in range(2, nu + 1):
-        classes.append(list(range(*plane_ranges[i])) + [e2_edges[i]])
-
-    h = Hypergraph(q + 1, gl.verts, edges)
-    recipe = ConstructionRecipe(
-        family="h2",
-        q=q,
-        nu=nu,
-        chosen={
-            "P": gl.P,
-            "Q": gl.Q,
-            "T1": T1,
-            "T2": T2,
-            "T3": T3,
-            "S": S,
-            "S_candidates": list(s_candidates),
-            "closure": sorted(closure) if closure is not None else None,
-            "ell_line": gl.ell,
-            "tangent_line": gl.tangent,
-            "lines": {"T1T2": t1t2, "T1S": t1s, "PT3": pt3},
-            "side_lines": list(gl.side_lines),
-            "plane_edges": {str(i): list(rng) for i, rng in plane_ranges.items()},
-            "e1_edges": {str(i): e for i, e in e1_edges.items()},
-            "e2_edges": {str(i): e for i, e in e2_edges.items()},
-            "extra_vertices": {str(i): v for i, v in gl.extra.items()},
-            "edge_classes": classes,
-        },
-    )
-    return h, recipe
+    e2_points = (plane.line_points(t1t2) - {T1, T2}) | {S}
+    chosen = {
+        "T1": T1,
+        "T2": T2,
+        "T3": T3,
+        "S": S,
+        "S_candidates": list(s_candidates),
+        "closure": sorted(closure) if closure is not None else None,
+        "lines": {"T1T2": t1t2, "T1S": t1s, "PT3": pt3},
+    }
+    return _glue("h2", plane, nu, lines, T1, e2_points, chosen)
 
 
 def validate_recipe(recipe: ConstructionRecipe) -> list:

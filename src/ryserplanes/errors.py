@@ -43,7 +43,3 @@ class UnknownEdge(ValueError):
 
 class SearchTooLarge(ValueError):
     """The requested brute-force search is beyond the supported budget."""
-
-
-# Inverting zero raises the builtin; exported so callers can catch it by name.
-DivisionByZero = ZeroDivisionError

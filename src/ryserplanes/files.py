@@ -27,10 +27,27 @@ def hypergraph_to_dict(h: Hypergraph, meta: dict = None) -> dict:
 
 
 def hypergraph_from_dict(d: dict):
+    """Inverse of `hypergraph_to_dict`; a wrong shape or type is a ValueError."""
+    if not isinstance(d, dict):
+        raise ValueError(f"expected a JSON object, got {type(d).__name__}")
     if d.get("format_version") != FORMAT_VERSION:
         raise ValueError(f"unsupported format_version {d.get('format_version')!r}")
-    verts = [Vertex(v["id"], v["label"], v["side"]) for v in d["vertices"]]
-    h = Hypergraph(d["r"], verts, [tuple(e) for e in d["edges"]])
+    # exact type tests: JSON true/false load as bool, an int subclass
+    if type(d.get("r")) is not int:
+        raise ValueError("r must be an integer")
+    vertices, edges = d.get("vertices"), d.get("edges")
+    if type(vertices) is not list or not all(
+        type(v) is dict and type(v.get("id")) is int and type(v.get("side")) is int
+        and type(v.get("label")) is str
+        for v in vertices
+    ):
+        raise ValueError("vertices must be objects with integer id and side and a string label")
+    if type(edges) is not list or not all(
+        type(e) is list and set(map(type, e)) <= {int} for e in edges
+    ):
+        raise ValueError("edges must be lists of integer vertex ids")
+    verts = [Vertex(v["id"], v["label"], v["side"]) for v in vertices]
+    h = Hypergraph(d["r"], verts, [tuple(e) for e in edges])
     return h, d.get("meta", {})
 
 

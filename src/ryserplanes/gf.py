@@ -173,19 +173,3 @@ class FieldSpec:
 
     def __repr__(self):
         return f"FieldSpec(q={self.q})"
-
-
-def field_new(q: int) -> FieldSpec:
-    return FieldSpec(q)
-
-
-def field_add(spec: FieldSpec, a: int, b: int) -> int:
-    return spec.add(a, b)
-
-
-def field_mul(spec: FieldSpec, a: int, b: int) -> int:
-    return spec.mul(a, b)
-
-
-def field_inv(spec: FieldSpec, a: int) -> int:
-    return spec.inv(a)

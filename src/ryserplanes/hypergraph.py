@@ -45,6 +45,14 @@ def _bits(mask):
         mask ^= low
 
 
+def _mask(ids):
+    """Inverse of `_bits`: the bitmask with the given bit positions set."""
+    m = 0
+    for i in ids:
+        m |= 1 << i
+    return m
+
+
 class Hypergraph:
     """Immutable vertex/edge data; solver state is built lazily and cached."""
 
@@ -428,16 +436,8 @@ def tau_subfamily(h: Hypergraph, edge_ids) -> int:
     A cover of a subfamily only ever needs vertices in its support, so the
     full hypergraph's solver answers this directly on an edge mask.
     """
-    s = h.solver()
-    U = 0
-    for ei in edge_ids:
-        U |= 1 << ei
-    return s.tau_exact(U)
+    return h.solver().tau_exact(_mask(edge_ids))
 
 
 def tau_subfamily_at_most(h: Hypergraph, edge_ids, b: int) -> bool:
-    s = h.solver()
-    U = 0
-    for ei in edge_ids:
-        U |= 1 << ei
-    return s.tau_le(U, b)
+    return h.solver().tau_le(_mask(edge_ids), b)

@@ -23,6 +23,7 @@ from .geometry import (
     plane_build,
 )
 from .gf import _prime_power
+from .hypergraph import _bits, _mask
 
 
 @dataclass(frozen=True)
@@ -54,22 +55,12 @@ def _minimal_blockers(plane, line_ids, budget):
     points of that line are forbidden downstream, so each set is built along
     one canonical path.  Output sets need not be minimal and are filtered.
     """
-    masks = []
-    pts_of = []
-    for lid in line_ids:
-        pts = sorted(plane.lines[lid].points)
-        m = 0
-        for p in pts:
-            m |= 1 << p
-        masks.append(m)
-        pts_of.append(pts)
+    pts_of = [sorted(plane.lines[lid].points) for lid in line_ids]
+    masks = [_mask(pts) for pts in pts_of]
     through = {}
     for m in masks:
-        mm = m
-        while mm:
-            b = mm & -mm
-            through[b] = through.get(b, 0) + 1
-            mm &= ~b
+        for p in _bits(m):
+            through[p] = through.get(p, 0) + 1
     max_through = max(through.values())
     found = set()
 
@@ -104,15 +95,8 @@ def _minimal_blockers(plane, line_ids, budget):
             if inter & (inter - 1) == 0:
                 private |= inter
         if private == ch:
-            out.append(tuple(_mask_points(ch)))
+            out.append(tuple(_bits(ch)))
     return sorted(out)
-
-
-def _mask_points(mask):
-    while mask:
-        b = mask & -mask
-        yield b.bit_length() - 1
-        mask &= ~b
 
 
 def _subgroup_size(q: int, n: int, d: int) -> bool:

@@ -1,7 +1,9 @@
+import hashlib
 from itertools import combinations
 
 import pytest
 
+from ryserplanes.cli import main
 from ryserplanes.constructions import (
     build_g1,
     build_h1,
@@ -233,6 +235,34 @@ def test_h2_general_nu_builds_and_validates():
     assert validate_partite(h).ok
     assert validate_recipe(recipe) == []
     assert len(recipe.chosen["edge_classes"]) == 3
+
+
+# ---- frozen builder output ----
+
+# sha256 of the file `ryserplanes build` writes (`save_hypergraph` with the
+# recipe in its meta); any change to vertex order, labels, sides, edge order
+# or recipe moves these.
+FROZEN_FILES = [
+    ("truncated", 3, None, "33aa479b1c835c9a808e1b230c490f4ab53781d96f6bc3925e5d3431afafbba0"),
+    ("conic", 5, None, "6b5164f6edd7314184fbee2c0691d808fbdf2c1b921096a5cd5c488499c4b18d"),
+    ("h1", 3, 2, "c4112a312d41ba6b77df43dc5b123e40a4206c173f3919310176b96586331abc"),
+    ("h1", 5, 3, "cf020e050ee405ae1365077d1b05c45789917303c48fb52dd1cc79ac3fec51ba"),
+    ("h2", 4, 2, "47de4492192e43b5b244d7d6563036feb29d3ebb159a1c62292d70cbdac8b161"),
+    ("h2", 5, 3, "ac370072f77a55739ce1d8a82e53b59b428da0753f82fa3347ee62945ca52b15"),
+    ("g1", None, None, "59e95cbaa674edb1ec86ad7e5533fe07e2852eff54e6987a29d984dd026d0bb8"),
+]
+
+
+@pytest.mark.parametrize("family,q,nu,digest", FROZEN_FILES,
+                         ids=[f"{f}-{q}-{nu}" for f, q, nu, _ in FROZEN_FILES])
+def test_built_file_digest_is_frozen(tmp_path, family, q, nu, digest):
+    path = tmp_path / "out.json"
+    argv = ["build", "--family", family, "--out", str(path)]
+    for flag, value in (("--q", q), ("--nu", nu)):
+        if value is not None:
+            argv += [flag, str(value)]
+    assert main(argv) == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
 # ---- labels ----

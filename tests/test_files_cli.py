@@ -120,6 +120,28 @@ def test_cli_verify_bad_file(tmp_path, capsys):
     assert "error: ValueError" in capsys.readouterr().err
 
 
+MALFORMED_FILES = {
+    "no_r": {"format_version": 1, "vertices": [], "edges": []},
+    "string_side": {"format_version": 1, "r": 2, "edges": [],
+                    "vertices": [{"id": 0, "label": "a", "side": "0"}]},
+    "top_level_list": [],
+}
+
+
+@pytest.mark.parametrize("command", ["verify", "decompose", "embed"])
+@pytest.mark.parametrize("name", sorted(MALFORMED_FILES))
+def test_cli_malformed_file_is_a_one_line_error(tmp_path, capsys, name, command):
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(MALFORMED_FILES[name]))
+    if command == "embed":
+        argv = ["embed", "--small", p, "--big", p]
+    else:
+        argv = [command, "--in", p]
+    assert _run(tmp_path, *argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ValueError") and err.count("\n") == 1
+
+
 def test_cli_decompose_exit_codes(tmp_path, capsys):
     single = tmp_path / "single.json"
     save_hypergraph(single, conic_truncated(3))

@@ -1,7 +1,7 @@
 import pytest
 
 from ryserplanes.errors import NotPrimePower
-from ryserplanes.gf import FieldSpec, field_add, field_inv, field_mul, field_new
+from ryserplanes.gf import FieldSpec
 
 # lexicographically least monic irreducibles, coefficients constant-first
 KNOWN_MODULI = {
@@ -66,11 +66,11 @@ def test_zero_has_no_inverse():
         f.inv(0)
 
 
-def test_module_level_wrappers():
-    spec = field_new(4)
-    assert field_add(spec, 2, 3) == 1  # x + (x+1) = 1 in GF(4)
-    assert field_mul(spec, 2, 2) == 3  # x * x = x + 1 mod x^2+x+1
-    assert field_inv(spec, 2) == 3
+def test_gf4_arithmetic_of_x():
+    f = FieldSpec(4)
+    assert f.add(2, 3) == 1  # x + (x+1) = 1 in GF(4)
+    assert f.mul(2, 2) == 3  # x * x = x + 1 mod x^2+x+1
+    assert f.inv(2) == 3
 
 
 def test_multiplicative_group_order():
