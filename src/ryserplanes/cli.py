@@ -69,36 +69,39 @@ def _parser():
 
 
 def _cmd_build(args):
+    meta = {"family": args.family, "q": None, "nu": None, "recipe": None}
     if args.family == "g1":
         h = build_g1()
-        meta = {"family": "g1", "q": None, "nu": None, "recipe": None}
+    elif args.q is None:
+        print("error: --q is required for this family", file=sys.stderr)
+        return 1
     else:
-        if args.q is None:
-            print("error: --q is required for this family", file=sys.stderr)
-            return 1
+        meta["q"] = args.q
         if args.family == "truncated":
             h = truncated_plane(args.q)
-            meta = {"family": "truncated", "q": args.q, "nu": None, "recipe": None}
         elif args.family == "conic":
             h = conic_truncated(args.q)
-            meta = {"family": "conic", "q": args.q, "nu": None, "recipe": None}
-        elif args.family == "h1":
-            h, recipe = build_h1(args.q, args.nu)
-            meta = {"family": "h1", "q": args.q, "nu": args.nu, "recipe": recipe.chosen}
         else:
-            h, recipe = build_h2(args.q, args.nu)
-            meta = {"family": "h2", "q": args.q, "nu": args.nu, "recipe": recipe.chosen}
+            build = build_h1 if args.family == "h1" else build_h2
+            h, recipe = build(args.q, args.nu)
+            meta.update(nu=args.nu, recipe=recipe.chosen)
     save_hypergraph(args.out, h, meta)
     print(f"wrote {args.out}: r={h.r}, {len(h.vertices)} vertices, {len(h.edges)} edges")
     return 0
 
 
-def _cmd_verify(args):
-    h, _ = load_hypergraph(args.infile)
+def _load(path):
+    """The hypergraph in a file, or None after printing each partite violation."""
+    h, _ = load_hypergraph(path)
     report = validate_partite(h)
-    if not report.ok:
-        for viol in report.violations:
-            print(f"invalid: {viol}", file=sys.stderr)
+    for viol in report.violations:
+        print(f"invalid: {viol}", file=sys.stderr)
+    return h if report.ok else None
+
+
+def _cmd_verify(args):
+    h = _load(args.infile)
+    if h is None:
         return 1
     cert = is_ryser(h)
     print(json.dumps(cert.value, sort_keys=True))
@@ -115,7 +118,9 @@ def _cmd_verify(args):
 
 
 def _cmd_decompose(args):
-    h, _ = load_hypergraph(args.infile)
+    h = _load(args.infile)
+    if h is None:
+        return 1
     res = find_disjoint_ryser_pair(h, cap=args.cap)
     out = {
         "outcome": res.outcome,
@@ -151,8 +156,10 @@ def _cmd_oracle(args):
 
 
 def _cmd_embed(args):
-    small, _ = load_hypergraph(args.small)
-    big, _ = load_hypergraph(args.big)
+    small = _load(args.small)
+    big = _load(args.big)
+    if small is None or big is None:
+        return 1
     mapping = find_embedding(small, big)
     if mapping is None:
         print("no embedding found", file=sys.stderr)

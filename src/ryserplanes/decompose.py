@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import SearchTooLarge
-from .hypergraph import Certificate, Hypergraph, _bits
+from .hypergraph import Certificate, Hypergraph, _bits, _mask
 
 DEFAULT_CAP = 10 ** 7
 
@@ -83,7 +83,7 @@ def enumerate_kernels(h: Hypergraph, cap: int = DEFAULT_CAP) -> KernelEnumeratio
                 )
                 if minimal:
                     ids = tuple(_bits(sub))
-                    support = frozenset(v for f in ids for v in h.edges[f])
+                    support = frozenset(s.vids[p] for p in _bits(s.support(sub)))
                     kernels.append(RyserKernel(ids, support, s.tau_exact(sub)))
                 continue
             above = ~((1 << (e + 1)) - 1)
@@ -100,12 +100,7 @@ def enumerate_kernels(h: Hypergraph, cap: int = DEFAULT_CAP) -> KernelEnumeratio
 def find_disjoint_ryser_pair(h: Hypergraph, cap: int = DEFAULT_CAP) -> PairSearchResult:
     enum = enumerate_kernels(h, cap)
     s = h.solver()
-    masks = []
-    for k in enum.kernels:
-        sm = 0
-        for e in k.edge_ids:
-            sm |= s.edge_masks[e]
-        masks.append(sm)
+    masks = [s.support(_mask(k.edge_ids)) for k in enum.kernels]
     for i in range(len(masks)):
         for j in range(i + 1, len(masks)):
             if masks[i] & masks[j] == 0:

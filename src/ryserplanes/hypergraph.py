@@ -85,9 +85,10 @@ class Hypergraph:
 class _ExactSolver:
     """Bitmask branch-and-bound for matching and cover numbers.
 
-    Edge subfamilies are encoded as bitmasks over edge indices; the cover
-    search memoizes exact values and lower bounds per subfamily, so repeated
-    queries (restrictions, decomposition searches) share all earlier work.
+    Edge subfamilies are bitmasks over edge indices; the matching search
+    recurses at most nu + 1 deep.  The cover search memoizes exact values
+    and one lower bound per subfamily, so repeated queries (restrictions,
+    decomposition searches) share all earlier work.
     """
 
     def __init__(self, h: Hypergraph):
@@ -98,12 +99,7 @@ class _ExactSolver:
         self.m = len(h.edges)
         self.all_edges = (1 << self.m) - 1
         self.edge_verts = [tuple(pos[v] for v in e) for e in h.edges]
-        self.edge_masks = []
-        for ev in self.edge_verts:
-            m = 0
-            for p in ev:
-                m |= 1 << p
-            self.edge_masks.append(m)
+        self.edge_masks = [_mask(ev) for ev in self.edge_verts]
         self.vert_edges = [0] * len(vids)
         for ei, ev in enumerate(self.edge_verts):
             for p in ev:
@@ -114,7 +110,7 @@ class _ExactSolver:
             for p in self.edge_verts[ei]:
                 c |= self.vert_edges[p]
             self.conflict.append(c)
-        self._match_memo = {}
+        self._match_memo = {0: 0}
         self._exact = {0: 0}
         self._lower = {}
 
@@ -125,12 +121,11 @@ class _ExactSolver:
         got = memo.get(avail)
         if got is not None:
             return got
-        if avail == 0:
-            return 0
+        # some edge of a maximum matching meets the lowest edge e (conflict[e] holds e)
         e = (avail & -avail).bit_length() - 1
-        skip = self.max_matching(avail & ~(1 << e))
-        take = 1 + self.max_matching(avail & ~self.conflict[e])
-        best = max(skip, take)
+        best = 0
+        for f in _bits(avail & self.conflict[e]):
+            best = max(best, 1 + self.max_matching(avail & ~self.conflict[f]))
         memo[avail] = best
         return best
 
@@ -159,6 +154,13 @@ class _ExactSolver:
 
     # ---- cover ----
 
+    def support(self, U: int) -> int:
+        """Mask of the vertex positions met by the edges of U."""
+        sm = 0
+        for ei in _bits(U):
+            sm |= self.edge_masks[ei]
+        return sm
+
     def packing_lb(self, U: int) -> int:
         used = 0
         cnt = 0
@@ -177,18 +179,8 @@ class _ExactSolver:
         for _ in range(b):
             if U == 0:
                 return True
-            best = -1
-            seen = 0
-            for ei in _bits(U):
-                for p in self.edge_verts[ei]:
-                    pb = 1 << p
-                    if seen & pb:
-                        continue
-                    seen |= pb
-                    d = bin(self.vert_edges[p] & U).count("1")
-                    if d > best:
-                        best = d
-                        pick = p
+            pick = max(_bits(self.support(U)),
+                       key=lambda p: (self.vert_edges[p] & U).bit_count())
             U &= ~self.vert_edges[pick]
         return U == 0
 
@@ -211,20 +203,15 @@ class _ExactSolver:
 
     def _degree_lb(self, U: int) -> int:
         # tau * (max degree) >= number of edges, per component already split off
-        cnt = 0
-        seen = 0
-        maxdeg = 1
-        for ei in _bits(U):
-            cnt += 1
-            for p in self.edge_verts[ei]:
-                b = 1 << p
-                if seen & b:
-                    continue
-                seen |= b
-                d = bin(self.vert_edges[p] & U).count("1")
-                if d > maxdeg:
-                    maxdeg = d
-        return -(-cnt // maxdeg)
+        maxdeg = max((self.vert_edges[p] & U).bit_count() for p in _bits(self.support(U)))
+        return -(-U.bit_count() // maxdeg)
+
+    def _lb(self, U: int) -> int:
+        """Memoised lower bound on tau(U); a failed `tau_le` raises it later."""
+        lb = self._lower.get(U)
+        if lb is None:
+            lb = self._lower[U] = max(self.packing_lb(U), self._degree_lb(U))
+        return lb
 
     def tau_le(self, U: int, b: int) -> bool:
         """Is there a vertex set of size <= b meeting every edge of U?"""
@@ -235,11 +222,7 @@ class _ExactSolver:
             return exact <= b
         if b <= 0:
             return False
-        lb = self._lower.get(U, 1)
-        if lb <= b:
-            lb = max(lb, self.packing_lb(U), self._degree_lb(U))
-            self._lower[U] = lb
-        if lb > b:
+        if self._lb(U) > b:
             return False
         comps = self.components(U)
         if len(comps) > 1:
@@ -268,7 +251,7 @@ class _ExactSolver:
                 break
         # drop dominated roles: a vertex whose incidence is contained in
         # another candidate's can always be swapped out of a cover
-        items = sorted(best_roles.items(), key=lambda kv: -bin(kv[0]).count("1"))
+        items = sorted(best_roles.items(), key=lambda kv: -kv[0].bit_count())
         kept = []
         for inc, p in items:
             if any(inc & ~inc2 == 0 for inc2, _ in kept):
@@ -284,7 +267,7 @@ class _ExactSolver:
         got = self._exact.get(U)
         if got is not None:
             return got
-        d = max(self._lower.get(U, 1), self.packing_lb(U), self._degree_lb(U))
+        d = self._lb(U)
         while not self.tau_le(U, d):
             d += 1
         self._exact[U] = d

@@ -93,6 +93,21 @@ def test_third_plane_creates_a_disjoint_pair():
         assert tau_subfamily(h, k.edge_ids) == h.r - 1
 
 
+@pytest.mark.parametrize("nu, outcome, pair", [
+    (2, "none", None),
+    (3, "some", ((1, 2, 3, 4, 5, 13), (15, 16, 17, 18, 19, 20))),
+])
+def test_pair_search_outcome_is_frozen(nu, outcome, pair):
+    # the outcome and the pair as the search first committed them on h1(3,nu)
+    h, _ = build_h1(3, nu)
+    res = find_disjoint_ryser_pair(h)
+    assert res.outcome == outcome
+    if pair is None:
+        assert res.pair is None
+    else:
+        assert (res.pair.first.edge_ids, res.pair.second.edge_ids) == pair
+
+
 def test_cap_reports_inconclusive():
     h, _ = build_h1(3, 2)
     res = find_disjoint_ryser_pair(h, cap=50)

@@ -142,6 +142,20 @@ def test_cli_malformed_file_is_a_one_line_error(tmp_path, capsys, name, command)
     assert err.startswith("error: ValueError") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command", ["verify", "decompose", "embed"])
+def test_cli_unknown_vertex_is_reported_as_invalid(tmp_path, capsys, command):
+    p = tmp_path / "unknown.json"
+    p.write_text(json.dumps({"format_version": 1, "r": 2, "edges": [[0, 5]],
+                             "vertices": [{"id": 0, "label": "a", "side": 0}]}))
+    if command == "embed":
+        argv = ["embed", "--small", p, "--big", p]
+    else:
+        argv = [command, "--in", p]
+    assert _run(tmp_path, *argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("invalid: ") and "unknown_vertex" in err
+
+
 def test_cli_decompose_exit_codes(tmp_path, capsys):
     single = tmp_path / "single.json"
     save_hypergraph(single, conic_truncated(3))

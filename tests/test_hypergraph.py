@@ -6,6 +6,7 @@ from itertools import combinations
 
 import pytest
 
+from ryserplanes.constructions import build_g1, build_h1, build_h2, conic_truncated
 from ryserplanes.errors import ArityMismatch, UnknownEdge
 from ryserplanes.hypergraph import (
     Hypergraph,
@@ -150,6 +151,44 @@ def test_cover_certificate_witness_is_lex_least():
     assert cert.value["tau"] == 2
     assert cert.witness == (0, 1)
     assert cover_is_valid(h, cert.witness)
+
+
+# lex-least witnesses (matching edge ids, cover vertex ids) of the built
+# families, as the solver first committed them; any change to the search
+# must reproduce them exactly
+FROZEN_WITNESSES = {
+    "g1": (lambda: build_g1(), (0, 6), (0, 1, 2, 3, 4, 12)),
+    "h1(3,4)": (lambda: build_h1(3, 4)[0], (0, 8, 16, 24),
+                (0, 1, 2, 3, 14, 16, 25, 27, 36, 38)),
+    "h2(4,2)": (lambda: build_h2(4, 2)[0], (0, 13), (0, 1, 2, 3, 4, 21, 27, 28)),
+    "h1(5,2)": (lambda: build_h1(5, 2)[0], (0, 22), (0, 1, 2, 3, 4, 5, 34, 35, 40, 55)),
+    "h2(5,2)": (lambda: build_h2(5, 2)[0], (0, 21), (0, 1, 2, 3, 4, 5, 31, 35, 40, 50)),
+    "TC(7)": (lambda: conic_truncated(7), (0,), (1, 2, 3, 4, 5, 6, 7)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FROZEN_WITNESSES))
+def test_family_witnesses_are_frozen(name):
+    build, matching, cover = FROZEN_WITNESSES[name]
+    h = build()
+    assert matching_number(h).witness == matching
+    assert cover_number(h).witness == cover
+
+
+def star(m):
+    # m edges of an r = 2 graph, all through vertex 0
+    verts = [Vertex(0, "c", 0)] + [Vertex(i, f"l{i}", 1) for i in range(1, m + 1)]
+    return Hypergraph(2, verts, [(0, i) for i in range(1, m + 1)])
+
+
+def test_matching_depth_does_not_grow_with_edges():
+    # 1100 edges is past the default recursion limit, so a search that
+    # recursed once per edge would crash here
+    h = star(1100)
+    assert matching_number(h).witness == (0,)
+    two = matching_number(disjoint_union(h, h))
+    assert two.value["nu"] == 2
+    assert two.witness == (0, 1100)
 
 
 def test_empty_hypergraph():
