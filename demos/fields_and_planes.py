@@ -14,7 +14,7 @@ from ryserplanes import (
     plane_build,
 )
 
-# an extension field comes with its canonical irreducible modulus,
+# every field comes with its canonical irreducible modulus (x for a prime field),
 # coefficients constant-first
 f9 = FieldSpec(9)
 print("GF(9) modulus:", f9.modulus)

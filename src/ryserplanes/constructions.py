@@ -92,9 +92,7 @@ def truncated_plane(q: int) -> Hypergraph:
         for p in plane.points
         if p.id != deleted
     ]
-    edges = [
-        tuple(line.points) for line in plane.lines if deleted not in plane.line_points(line.id)
-    ]
+    edges = [line.points for line in plane.lines if deleted not in line.points]
     return Hypergraph(q + 1, verts, edges)
 
 
@@ -151,12 +149,12 @@ def _glue(family, plane: ProjectivePlane, nu: int, lines, e1_point, e2_points, c
     def edge(i, pids):
         return [vmap[(1 if pid == P else i, pid)] for pid in pids]
 
-    plane1 = [line.id for line in plane.lines if not {Q, P} & plane.line_points(line.id)]
+    plane1 = [line.id for line in plane.lines if not {Q, P} & line.points]
     edges = [edge(1, plane.lines[lid].points) for lid in sorted(plane1 + [ell])]
     plane_edges = {"1": [0, len(edges)]}
     e1_edges = {}
     e2_edges = {}
-    ell_rest = edge(1, plane.line_points(ell) - {P})
+    ell_rest = edge(1, plane.lines[ell].points - {P})
     for i in range(2, nu + 1):
         k = str(i)
         start = len(edges)
@@ -214,12 +212,8 @@ def build_h1(q: int, nu: int):
     conic = conic_canonical(plane)
     cprime = set(conic.points) - {Q}
     # R: least point of the line PQ besides P and Q
-    R = min(p_ for p_ in plane.line_points(tangent) if p_ not in (P, Q))
-    lines = [
-        line.id
-        for line in plane.lines
-        if Q not in plane.line_points(line.id) and cprime & plane.line_points(line.id)
-    ]
+    R = min(plane.lines[tangent].points - {P, Q})
+    lines = [line.id for line in plane.lines if Q not in line.points and cprime & line.points]
     chosen = {"R": R, "conic_points": list(conic.points)}
     return _glue("h1", plane, nu, lines, R, cprime, chosen)
 
@@ -235,27 +229,27 @@ def _h2_arc_points(plane: ProjectivePlane, Q: int, P: int, tangent: int):
     """
     q = plane.q
     n = len(plane.points)
-    pq_points = plane.line_points(tangent)
+    pq_points = plane.lines[tangent].points
     for T1 in sorted(pq_points - {P, Q}):
         for T2 in range(n):
             if T2 in (P, Q, T1) or T2 in pq_points:
                 continue
-            qt2 = line_through(plane, Q, T2).id
+            qt2 = line_through(plane, Q, T2).points
             for T3 in range(n):
                 if T3 in (P, Q, T1, T2):
                     continue
                 if not is_arc(plane, (Q, T1, T2, T3)):
                     continue
-                if P in plane.line_points(line_through(plane, T2, T3).id):
+                if P in line_through(plane, T2, T3).points:
                     continue
                 closure = None
                 if q == 4:
                     closure = baer_closure(plane, (Q, T1, T2, T3))
                     if P in closure:
                         continue
-                t1t3 = plane.line_points(line_through(plane, T1, T3).id)
+                t1t3 = line_through(plane, T1, T3).points
                 s_candidates = []
-                for S in sorted(plane.line_points(qt2) - {Q, T2}):
+                for S in sorted(qt2 - {Q, T2}):
                     if q == 4 and (S in closure or S in t1t3):
                         continue
                     s_candidates.append(S)
@@ -287,9 +281,9 @@ def build_h2(q: int, nu: int):
     pt3 = line_through(plane, P, T3).id
     lines = sorted(
         {t1t2, t1s, pt3}
-        | {line.id for line in plane.lines if not arc & plane.line_points(line.id)}
+        | {line.id for line in plane.lines if not arc & line.points}
     )
-    e2_points = (plane.line_points(t1t2) - {T1, T2}) | {S}
+    e2_points = (plane.lines[t1t2].points - {T1, T2}) | {S}
     chosen = {
         "T1": T1,
         "T2": T2,
@@ -315,38 +309,35 @@ def validate_recipe(recipe: ConstructionRecipe) -> list:
     conic = conic_canonical(plane)
     P, Q = c["P"], c["Q"]
     tangent = plane.lines[c["tangent_line"]]
-    expect(P in plane.line_points(tangent.id), "P not on the recorded tangent line")
-    expect(Q in plane.line_points(tangent.id), "Q not on the recorded tangent line")
+    expect(P in tangent.points, "P not on the recorded tangent line")
+    expect(Q in tangent.points, "Q not on the recorded tangent line")
     expect(classify_line(conic, tangent) == "tangent", "recorded PQ line is not tangent")
-    ell = plane.line_points(c["ell_line"])
+    ell = plane.lines[c["ell_line"]].points
     expect(P in ell and Q not in ell, "ell must pass through P and avoid Q")
     if recipe.family == "h1":
         expect(list(conic.points) == c["conic_points"], "conic points drifted")
         R = c["R"]
         expect(
-            R in plane.line_points(tangent.id) and R not in (P, Q),
+            R in tangent.points and R not in (P, Q),
             "R must lie on PQ away from P and Q",
         )
     elif recipe.family == "h2":
         T1, T2, T3, S = c["T1"], c["T2"], c["T3"], c["S"]
         expect(
-            T1 in plane.line_points(tangent.id) and T1 not in (P, Q),
+            T1 in tangent.points and T1 not in (P, Q),
             "T1 must lie on PQ away from P and Q",
         )
         expect(is_arc(plane, (Q, T1, T2, T3)), "{Q,T1,T2,T3} is not an arc")
-        qt2 = line_through(plane, Q, T2).id
-        expect(S in plane.line_points(qt2) and S not in (Q, T2), "S must lie on QT2 away from Q and T2")
-        expect(
-            P not in plane.line_points(line_through(plane, T2, T3).id),
-            "P must avoid the line T2T3",
-        )
+        qt2 = line_through(plane, Q, T2).points
+        expect(S in qt2 and S not in (Q, T2), "S must lie on QT2 away from Q and T2")
+        expect(P not in line_through(plane, T2, T3).points, "P must avoid the line T2T3")
         if recipe.q == 4:
             closure = baer_closure(plane, (Q, T1, T2, T3))
             expect(sorted(closure) == c["closure"], "recorded subplane closure drifted")
             expect(P not in closure, "P must avoid the arc's subplane closure")
             expect(S not in closure, "S must avoid the arc's subplane closure")
             expect(
-                S not in plane.line_points(line_through(plane, T1, T3).id),
+                S not in line_through(plane, T1, T3).points,
                 "S must avoid the line T1T3",
             )
     else:

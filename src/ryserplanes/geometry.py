@@ -4,8 +4,11 @@ Points are homogeneous triples over GF(q), normalized so the leftmost
 nonzero coordinate is 1, and numbered by lexicographic rank of the triple.
 Lines use the same triples as dual coefficient vectors, so point i and
 line i carry the same triple; incidence is the vanishing of the bilinear
-form a0*x0 + a1*x1 + a2*x2.  Everything downstream (conics, constructions,
-file output) refers to these ids, so the numbering is part of the contract.
+form a0*x0 + a1*x1 + a2*x2.  The form is symmetric, so point j lies on
+line i iff point i lies on line j: the lines through point p are the points
+of line p, and the point sets of the lines are the one incidence table.
+Everything downstream (conics, constructions, file output) refers to these
+ids, so the numbering is part of the contract.
 """
 
 from dataclasses import dataclass
@@ -28,12 +31,11 @@ class PlanePoint:
 class PlaneLine:
     id: int
     coeffs: tuple
-    points: tuple  # incident point ids, ascending
+    points: frozenset  # ids of the points on the line
 
 
 @dataclass(frozen=True)
 class Conic:
-    form: str
     points: tuple  # point ids, ascending
     nucleus: Optional[int]  # common point of all tangents; even q only
 
@@ -61,19 +63,12 @@ class ProjectivePlane:
         self.field = field
         self.points = [PlanePoint(i, t) for i, t in enumerate(triples)]
         self._id_of = {t: i for i, t in enumerate(triples)}
-        self.lines = []
-        self._line_sets = []
-        for i, coeffs in enumerate(triples):
-            pts = tuple(
+        self.lines = [
+            PlaneLine(i, coeffs, frozenset(
                 p.id for p in self.points if self._dot(coeffs, p.coords) == 0
-            )
-            self.lines.append(PlaneLine(i, coeffs, pts))
-            self._line_sets.append(frozenset(pts))
-        through = [[] for _ in triples]
-        for line in self.lines:
-            for pid in line.points:
-                through[pid].append(line.id)
-        self._through = [tuple(ls) for ls in through]
+            ))
+            for i, coeffs in enumerate(triples)
+        ]
 
     def _dot(self, a, x):
         f = self.field
@@ -97,14 +92,9 @@ class ProjectivePlane:
     def line_id(self, triple) -> int:
         return self._id_of[self.normalize(triple)]
 
-    def line_points(self, line_id: int) -> frozenset:
-        return self._line_sets[line_id]
-
-    def lines_through(self, point_id: int) -> tuple:
-        return self._through[point_id]
-
-    def incident(self, point_id: int, line_id: int) -> bool:
-        return point_id in self._line_sets[line_id]
+    def lines_through(self, point_id: int) -> frozenset:
+        # duality: line j passes through point p iff point j lies on line p
+        return self.lines[point_id].points
 
     def __repr__(self):
         return f"ProjectivePlane(q={self.q})"
@@ -116,7 +106,7 @@ def plane_build(q: int) -> ProjectivePlane:
 
 
 def line_through(plane: ProjectivePlane, a: int, b: int) -> PlaneLine:
-    """The unique line incident to both points."""
+    """The unique line through both points."""
     if a == b:
         raise SamePoint(f"point {a} given twice")
     f = plane.field
@@ -136,12 +126,12 @@ def conic_canonical(plane: ProjectivePlane) -> Conic:
     ids = [plane.point_id((1, t, f.mul(t, t))) for t in range(plane.q)]
     ids.append(plane.point_id((0, 0, 1)))
     nucleus = plane.point_id((0, 1, 0)) if plane.q % 2 == 0 else None
-    return Conic(form="x1^2 = x0*x2", points=tuple(sorted(ids)), nucleus=nucleus)
+    return Conic(points=tuple(sorted(ids)), nucleus=nucleus)
 
 
 def classify_line(conic: Conic, line: PlaneLine) -> str:
     """'tangent', 'secant', or 'external' by intersection count."""
-    hits = len(set(conic.points) & set(line.points))
+    hits = len(line.points.intersection(conic.points))
     if hits == 1:
         return "tangent"
     if hits == 2:
@@ -154,7 +144,7 @@ def classify_line(conic: Conic, line: PlaneLine) -> str:
 def is_arc(plane: ProjectivePlane, pts) -> bool:
     """True iff no three of the given points are collinear."""
     s = frozenset(pts)
-    return all(len(s & ls) <= 2 for ls in plane._line_sets)
+    return all(len(s & line.points) <= 2 for line in plane.lines)
 
 
 def baer_closure(plane: ProjectivePlane, quad) -> frozenset:
@@ -175,7 +165,7 @@ def baer_closure(plane: ProjectivePlane, quad) -> frozenset:
         spanned = {line_through(plane, a, b).id for a, b in combinations(sorted(pts), 2)}
         grown = set(pts)
         for l1, l2 in combinations(sorted(spanned), 2):
-            grown |= plane.line_points(l1) & plane.line_points(l2)
+            grown |= plane.lines[l1].points & plane.lines[l2].points
         if grown == pts:
             return frozenset(pts)
         pts = grown

@@ -3,9 +3,10 @@
 Field elements are plain ints in range(q).  The base-p digits of an element,
 constant term first, are the coefficients of its polynomial representative,
 so 0 and 1 are the additive and multiplicative identities in every field.
-Extension fields are reduced modulo the lexicographically smallest monic
+Every field is reduced modulo the lexicographically smallest monic
 irreducible polynomial of degree k over GF(p), coefficients compared low
-degree first.  That makes element indices, and everything built on top of
+degree first; for a prime field that is x, and the tables are plain mod-p
+arithmetic.  That makes element indices, and everything built on top of
 them, identical across runs.
 """
 
@@ -72,7 +73,7 @@ def _monic_polys(p, deg):
 def _is_irreducible(f, p):
     deg = len(f) - 1
     if f[0] == 0:
-        return False
+        return deg == 1
     for d in range(1, deg // 2 + 1):
         for g in _monic_polys(p, d):
             if not any(_poly_mod(f, g, p)):
@@ -101,7 +102,7 @@ class FieldSpec:
             raise NotPrimePower(f"order {q} exceeds the supported cap {MAX_ORDER}")
         self.p, self.k = pk
         self.q = q
-        self.modulus = [] if self.k == 1 else _least_irreducible(self.p, self.k)
+        self.modulus = _least_irreducible(self.p, self.k)
         self._build_tables()
 
     def _digits(self, a):
@@ -119,23 +120,15 @@ class FieldSpec:
 
     def _build_tables(self):
         p, q = self.p, self.q
-        if self.k == 1:
-            self._add = [[(a + b) % p for b in range(q)] for a in range(q)]
-            self._mul = [[(a * b) % p for b in range(q)] for a in range(q)]
-        else:
-            polys = [self._digits(a) for a in range(q)]
-            self._add = [
-                [self._undigits([(x + y) % p for x, y in zip(fa, fb)]) for fb in polys]
-                for fa in polys
-            ]
-            self._mul = []
-            for fa in polys:
-                row = []
-                for fb in polys:
-                    prod = _poly_mod(_poly_mul(fa, fb, p), self.modulus, p)
-                    prod += [0] * (self.k - len(prod))
-                    row.append(self._undigits(prod))
-                self._mul.append(row)
+        polys = [self._digits(a) for a in range(q)]
+        self._add = [
+            [self._undigits([(x + y) % p for x, y in zip(fa, fb)]) for fb in polys]
+            for fa in polys
+        ]
+        self._mul = [
+            [self._undigits(_poly_mod(_poly_mul(fa, fb, p), self.modulus, p)) for fb in polys]
+            for fa in polys
+        ]
         self._neg = [self._add[a].index(0) for a in range(q)]
         self._inv = [None] + [self._mul[a].index(1) for a in range(1, q)]
 

@@ -161,16 +161,6 @@ class _ExactSolver:
             sm |= self.edge_masks[ei]
         return sm
 
-    def packing_lb(self, U: int) -> int:
-        used = 0
-        cnt = 0
-        for ei in _bits(U):
-            em = self.edge_masks[ei]
-            if em & used == 0:
-                cnt += 1
-                used |= em
-        return cnt
-
     def greedy_cover_le(self, U: int, b: int) -> bool:
         """Upper-bound witness: True means tau(U) <= b for sure.
 
@@ -207,10 +197,10 @@ class _ExactSolver:
         return -(-U.bit_count() // maxdeg)
 
     def _lb(self, U: int) -> int:
-        """Memoised lower bound on tau(U); a failed `tau_le` raises it later."""
+        """Memoised degree bound on tau(U); a failed `tau_le` raises it later."""
         lb = self._lower.get(U)
         if lb is None:
-            lb = self._lower[U] = max(self.packing_lb(U), self._degree_lb(U))
+            lb = self._lower[U] = self._degree_lb(U)
         return lb
 
     def tau_le(self, U: int, b: int) -> bool:

@@ -38,7 +38,7 @@ class BlockerReport:
 
 def blocks_all(plane: ProjectivePlane, pts, line_ids) -> bool:
     s = set(pts)
-    return all(set(plane.lines[lid].points) & s for lid in line_ids)
+    return all(plane.lines[lid].points & s for lid in line_ids)
 
 
 def is_minimal_blocker(plane: ProjectivePlane, pts, line_ids) -> bool:
@@ -114,10 +114,15 @@ def _subgroup_size(q: int, n: int, d: int) -> bool:
     return False
 
 
+def _is_line(plane, pts) -> bool:
+    """Is the point tuple a whole line?  If so, it is the line through its first two points."""
+    return len(pts) == plane.q + 1 and line_through(plane, pts[0], pts[1]).points == set(pts)
+
+
 def _classify(plane, conic, pts) -> str:
-    fs = frozenset(pts)
-    if fs in plane._line_sets:
+    if _is_line(plane, pts):
         return "line"
+    fs = frozenset(pts)
     cset = frozenset(conic.points)
     q = plane.q
     if fs == cset:
@@ -133,9 +138,8 @@ def _classify(plane, conic, pts) -> str:
                 return "tangent_trade"
         elif s1 and len(s1) == len(s2):
             for line in plane.lines:
-                lset = frozenset(line.points)
-                if s2 <= lset - cset and not s1 & lset:
-                    if _subgroup_size(q, len(cset - lset), len(s1)):
+                if s2 <= line.points - cset and not s1 & line.points:
+                    if _subgroup_size(q, len(cset - line.points), len(s1)):
                         return "conic_swap"
     root = isqrt(q)
     if root * root == q and root > 1 and len(fs) == q + root + 1:
@@ -208,7 +212,7 @@ def min_nontrivial_blocking(q: int) -> BlockerReport:
     budget = q + 2
     while True:
         blockers = _minimal_blockers(plane, line_ids, budget)
-        nontrivial = [b for b in blockers if frozenset(b) not in plane._line_sets]
+        nontrivial = [b for b in blockers if not _is_line(plane, b)]
         if nontrivial:
             break
         budget += 1

@@ -1,3 +1,4 @@
+import hashlib
 from itertools import combinations
 
 import pytest
@@ -23,6 +24,32 @@ def test_point_line_counts(q):
         assert len(line.points) == q + 1
     for pid in range(n):
         assert len(plane.lines_through(pid)) == q + 1
+
+
+# sha256 of repr((sorted points of each line, sorted lines through each
+# point)); point and line ids are part of the file format
+FROZEN_INCIDENCE = {
+    2: "ffc3e3ee72c1f151b0961c33d1011006958093375ae654201bf6a97bb021104c",
+    3: "1a7c8301fee864ae198b8406a6f12532c4d9fdaf729479bd89aa0e7c92e3a3f2",
+    4: "8213e2cc62c517f977ee1576ad84332484a25ce4344a00671073e2b9ae9e7f3d",
+    5: "321ddf726220f84dede197fc8bc742916b7a43b9cdb2b781617279014c9fd065",
+    7: "46296e3f9c0b5c052cbffce48062d0189edf544542fc5448d96731c8e7988f2f",
+    8: "270854ef68aac748f125541d36af94c984724c3456d30d5be827068cd2b21575",
+    9: "785b57624346ece335795243df3cf56538ccc6456d11244f5bbd531a253bb21e",
+    11: "c26c564a6755674b246416c4477ca5b041b8f47c3c323bd1118a9e0824f6d6bb",
+    13: "f099ad4cba2fe893c437c6f270147f915272ae0135f4aa5e3bfb9787d198ae0d",
+    16: "8ff92cb67ab362527988ab2cb3716bf4ffd2b1603d17cd5644fa04bcdf119428",
+}
+
+
+@pytest.mark.parametrize("q", sorted(FROZEN_INCIDENCE))
+def test_incidence_is_frozen(q):
+    plane = plane_build(q)
+    incidence = (
+        [sorted(line.points) for line in plane.lines],
+        [sorted(plane.lines_through(p)) for p in range(len(plane.points))],
+    )
+    assert hashlib.sha256(repr(incidence).encode()).hexdigest() == FROZEN_INCIDENCE[q]
 
 
 @pytest.mark.parametrize("q", [3, 4, 5])

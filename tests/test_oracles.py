@@ -31,7 +31,7 @@ def test_minimum_blockers_are_exactly_the_lines(q):
     assert set(rep.classes) == {"line"}
     plane = plane_build(q)
     line_ids = range(len(plane.lines))
-    assert {frozenset(b) for b in rep.blockers} == set(plane._line_sets)
+    assert {frozenset(b) for b in rep.blockers} == {line.points for line in plane.lines}
     for b in rep.blockers:
         assert is_minimal_blocker(plane, b, line_ids)
 
