@@ -33,7 +33,7 @@ from .errors import (
 )
 from .gf import _prime_power
 from .geometry import ProjectivePlane, classify_line, conic_canonical, is_arc, line_through, plane_build, baer_closure
-from .hypergraph import Hypergraph, Vertex
+from .hypergraph import Hypergraph, Vertex, _bits
 
 
 @dataclass(frozen=True)
@@ -264,7 +264,9 @@ def build_h2(q: int, nu: int):
 
     Shares the fault of `build_h1` for nu >= 3: the output has
     tau = nu(q-1)+2 < nu q (11 for h2(4,3), 14 for h2(4,4) and h2(5,3)), so it
-    is not r-Ryser; only nu = 2 gives the paper's family.
+    is not r-Ryser; only nu = 2 gives the paper's family.  At q = 7 and 11
+    even nu = 2 is decomposable: plane 1's edges and the later plane's
+    lines off P, with e2, are disjoint intersecting families of tau = q.
     """
     if q < 4:
         raise QTooSmall(f"q={q}: the arc construction needs q >= 4")
@@ -381,81 +383,43 @@ def build_g1() -> Hypergraph:
 # ---- embedding search ----
 
 
-def find_embedding(small: Hypergraph, big: Hypergraph, pins: Optional[dict] = None):
+def find_embedding(small: Hypergraph, big: Hypergraph):
     """Injective vertex map plus side bijection sending edges onto edges.
 
     Vertices of `small` are assigned in ascending id order, candidates in
     ascending id order, so the first embedding found is the lexicographically
-    least one; the search is exhaustive and returns None when no embedding
-    exists.  `pins` forces chosen assignments (small id -> big id).
+    least side-respecting one; the search is exhaustive and returns None when
+    no embedding exists.  Each small edge keeps the solver mask of the big
+    edges holding the images so far; a mask reaching 0 rejects a candidate.
     """
     if small.r != big.r:
         raise ArityMismatch(f"r={small.r} vs r={big.r}")
     if len(small.vertices) > len(big.vertices) or len(small.edges) > len(big.edges):
         return None
-    order = [v.id for v in small.vertices]
-    sside = {v.id: v.side for v in small.vertices}
-    bside = {v.id: v.side for v in big.vertices}
-    bvids = [v.id for v in big.vertices]
-    edges_of = {vid: [] for vid in order}
-    for ei, e in enumerate(small.edges):
-        for vid in e:
-            edges_of[vid].append(ei)
-    b_incidence = {}
-    for ei, e in enumerate(big.edges):
-        for vid in e:
-            b_incidence.setdefault(vid, 0)
-        for vid in e:
-            b_incidence[vid] |= 1 << ei
-    full = (1 << len(big.edges)) - 1
+    s = big.solver()
+    order = small.vertices
+    edges_of = [list(_bits(m)) for m in small.solver().vert_edges]
+    bside = [v.side for v in big.vertices]
 
-    assignment = {}
-    side_map = {}
-    used_sides = set()
-    used_big = set()
-
-    def dfs(k, masks):
+    def dfs(k, masks, side_map, used):
         if k == len(order):
-            return dict(assignment)
-        vid = order[k]
-        s = sside[vid]
-        pinned = None if pins is None else pins.get(vid)
-        for w in (bvids if pinned is None else [pinned]):
-            if w in used_big:
+            return {}
+        v = order[k]
+        want = side_map.get(v.side)
+        taken = set(side_map.values())
+        for w, bs in enumerate(bside):
+            if used >> w & 1 or (bs != want if want is not None else bs in taken):
                 continue
-            bs = bside[w]
-            if s in side_map:
-                if side_map[s] != bs:
-                    continue
-            elif bs in used_sides:
-                continue
-            new_masks = masks
-            ok = True
-            winc = b_incidence.get(w, 0)
-            for ei in edges_of[vid]:
-                m = new_masks[ei] & winc
-                if m == 0:
-                    ok = False
+            new_masks = list(masks)
+            for ei in edges_of[k]:
+                new_masks[ei] &= s.vert_edges[w]
+                if not new_masks[ei]:
                     break
-                if new_masks is masks:
-                    new_masks = list(masks)
-                new_masks[ei] = m
-            if not ok:
-                continue
-            assignment[vid] = w
-            used_big.add(w)
-            fresh = s not in side_map
-            if fresh:
-                side_map[s] = bs
-                used_sides.add(bs)
-            found = dfs(k + 1, new_masks)
-            if found is not None:
-                return found
-            del assignment[vid]
-            used_big.discard(w)
-            if fresh:
-                del side_map[s]
-                used_sides.discard(bs)
+            else:
+                sides = side_map if want is not None else {**side_map, v.side: bs}
+                found = dfs(k + 1, new_masks, sides, used | 1 << w)
+                if found is not None:
+                    return {v.id: s.vids[w], **found}
         return None
 
-    return dfs(0, [full] * len(small.edges))
+    return dfs(0, [s.all_edges] * len(small.edges), {}, 0)

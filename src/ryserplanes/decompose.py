@@ -78,13 +78,15 @@ def enumerate_kernels(h: Hypergraph, cap: int = DEFAULT_CAP) -> KernelEnumeratio
             # cheap dismissal first: a greedy cover within threshold already
             # rules the clique out, no exact search needed
             if not s.greedy_cover_le(sub, threshold) and not s.tau_le(sub, threshold):
+                # dropping e leaves `mask`, entered only below the threshold
                 minimal = all(
-                    s.tau_le(sub & ~(1 << f), threshold) for f in _bits(sub)
+                    s.tau_le(sub & ~(1 << f), threshold) for f in _bits(mask)
                 )
                 if minimal:
                     ids = tuple(_bits(sub))
                     support = frozenset(s.vids[p] for p in _bits(s.support(sub)))
-                    kernels.append(RyserKernel(ids, support, s.tau_exact(sub)))
+                    # minimal: any sub - {e} has tau <= r - 2, so tau(sub) = r - 1
+                    kernels.append(RyserKernel(ids, support, h.r - 1))
                 continue
             above = ~((1 << (e + 1)) - 1)
             dfs(sub, cand & adj[e] & above)

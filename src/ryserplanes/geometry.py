@@ -63,19 +63,15 @@ class ProjectivePlane:
         self.field = field
         self.points = [PlanePoint(i, t) for i, t in enumerate(triples)]
         self._id_of = {t: i for i, t in enumerate(triples)}
-        self.lines = [
-            PlaneLine(i, coeffs, frozenset(
-                p.id for p in self.points if self._dot(coeffs, p.coords) == 0
-            ))
-            for i, coeffs in enumerate(triples)
-        ]
-
-    def _dot(self, a, x):
-        f = self.field
-        acc = 0
-        for ai, xi in zip(a, x):
-            acc = f.add(acc, f.mul(ai, xi))
-        return acc
+        # line i takes point i's triple as coefficients; raw table lookups,
+        # since every entry is a field element already
+        add, mul = field._add, field._mul
+        pts = [(p.id, *p.coords) for p in self.points]
+        self.lines = []
+        for p in self.points:
+            m0, m1, m2 = (mul[a] for a in p.coords)
+            on = frozenset(i for i, x0, x1, x2 in pts if add[add[m0[x0]][m1[x1]]][m2[x2]] == 0)
+            self.lines.append(PlaneLine(p.id, p.coords, on))
 
     def normalize(self, triple):
         """Scale a nonzero triple so its leftmost nonzero entry is 1."""

@@ -308,7 +308,7 @@ def test_self_embedding_is_identity(h1_32):
 def test_g1_embeds_into_h1_pinned(h1_32):
     h, _ = h1_32
     g = build_g1()
-    m = find_embedding(g, h, pins={1: 0})
+    m = find_embedding(g, h)
     assert m is not None
     assert m[1] == 0
     assert len(set(m.values())) == len(g.vertices)
@@ -331,7 +331,7 @@ def test_embedding_respects_sides(h1_32):
 def test_embedded_conic_triple_maps_to_an_arc(h1_32):
     h, _ = h1_32
     g = build_g1()
-    m = find_embedding(g, h, pins={1: 0})
+    m = find_embedding(g, h)
     plane = plane_build(3)
     pids = []
     for gvid in (4, 22, 7):  # second side-1, sixth side-3, second side-4 vertex
@@ -340,6 +340,38 @@ def test_embedded_conic_triple_maps_to_an_arc(h1_32):
         pids.append(plane.point_id(triple))
     pids.append(plane.point_id((0, 0, 1)))  # the deleted point of that plane
     assert is_arc(plane, pids)
+
+
+# The lexicographically least side-respecting map, as images of the small
+# vertices in ascending id order; None where no embedding exists.
+G1_INTO_H1_32 = [3, 0, 9, 6, 14, 12, 22, 18, 15, 1, 11, 7,
+                 16, 2, 10, 8, 4, 23, 20, 17, 5, 13, 21, 19]
+FROZEN_EMBEDDINGS = {
+    "g1 -> h1(3,2)": (build_g1, lambda: build_h1(3, 2)[0], G1_INTO_H1_32),
+    # v2 of h1(3,3) is vertex 34; otherwise the same map as into h1(3,2)
+    "g1 -> h1(3,3)": (build_g1, lambda: build_h1(3, 3)[0],
+                      G1_INTO_H1_32[:17] + [34] + G1_INTO_H1_32[18:]),
+    "TC(3) -> h1(3,3)": (lambda: conic_truncated(3), lambda: build_h1(3, 3)[0],
+                         [0] + list(range(12, 23))),
+    "TC(5) -> h1(5,2)": (lambda: conic_truncated(5), lambda: build_h1(5, 2)[0],
+                         [0] + list(range(30, 59))),
+    # plane 1 and plane 2 in place; v2 goes to h2(4,3)'s v2, vertex 58
+    "h2(4,2) -> h2(4,3)": (lambda: build_h2(4, 2)[0], lambda: build_h2(4, 3)[0],
+                           list(range(39)) + [58]),
+    "T(3) -> h1(3,2)": (lambda: truncated_plane(3), lambda: build_h1(3, 2)[0], None),
+    "h1(3,2) -> g1": (lambda: build_h1(3, 2)[0], build_g1, None),
+}
+
+
+@pytest.mark.parametrize("pair", sorted(FROZEN_EMBEDDINGS))
+def test_embedding_is_frozen(pair):
+    small_of, big_of, images = FROZEN_EMBEDDINGS[pair]
+    small = small_of()
+    m = find_embedding(small, big_of())
+    if images is None:
+        assert m is None
+    else:
+        assert m == dict(zip((v.id for v in small.vertices), images))
 
 
 def test_embedding_arity_mismatch(h2_42):

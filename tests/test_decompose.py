@@ -3,7 +3,7 @@ from itertools import combinations
 
 import pytest
 
-from ryserplanes.constructions import build_h1, conic_truncated
+from ryserplanes.constructions import build_h1, build_h2, conic_truncated
 from ryserplanes.decompose import (
     brute_force_disjoint_pair,
     enumerate_kernels,
@@ -91,6 +91,22 @@ def test_third_plane_creates_a_disjoint_pair():
         for x, y in combinations(k.edge_ids, 2):
             assert set(h.edges[x]) & set(h.edges[y])
         assert tau_subfamily(h, k.edge_ids) == h.r - 1
+
+
+def test_h2_q7_has_a_disjoint_pair():
+    # 38 plane-1 edges and 28 plane-2 lines avoiding P plus e2 are two
+    # vertex-disjoint intersecting families with tau = r - 1, so h2(7,2) is
+    # decomposable; this pins the faulty H2 later plane (see `build_h2`) and
+    # must change when the construction is fixed
+    h, _ = build_h2(7, 2)
+    k1 = list(range(38))
+    k2 = [43] + list(range(50, 77)) + [78]
+    for k in (k1, k2):
+        for a, b in combinations(k, 2):
+            assert set(h.edges[a]) & set(h.edges[b])
+        assert tau_subfamily(h, k) == h.r - 1 == 7
+    support = [set().union(*(h.edges[e] for e in k)) for k in (k1, k2)]
+    assert support[0].isdisjoint(support[1])
 
 
 @pytest.mark.parametrize("nu, outcome, pair", [

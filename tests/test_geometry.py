@@ -39,6 +39,14 @@ FROZEN_INCIDENCE = {
     11: "c26c564a6755674b246416c4477ca5b041b8f47c3c323bd1118a9e0824f6d6bb",
     13: "f099ad4cba2fe893c437c6f270147f915272ae0135f4aa5e3bfb9787d198ae0d",
     16: "8ff92cb67ab362527988ab2cb3716bf4ffd2b1603d17cd5644fa04bcdf119428",
+    17: "6f0e4687eb98fc149e3e9828bd7ad1151e75c38631d3c6b8b436cf3ae20412c5",
+    19: "0c6919449f71280aac028a46488722bb9b1212c1e76fff9eda54a1aa529d8db3",
+    23: "d8525a14eb94f2a103421e6b409a5d423b6df4e1b6873cbf4c8c829ac15043d6",
+    25: "473faee6638438c62dbcd68ed9e7d6c66db2551264b9fdff4760eb9323a38c8a",
+    27: "46aaef00cebbd7a7b6ac96136d14361a68521d986b30f00bdd439bd005be95b0",
+    29: "80a54bb5cb21771ce12ea86525bca6ac4378ba9ddb76b29ea395ed30c00e1488",
+    31: "8222fed4ecba50844dcbe0eb00383b97ec920cf308fadd33851881ddc057e8d6",
+    32: "1c4c65db402cd1b6d27b16b9bb1c4e5fce2d434fc82d2eec85ae43e1f2e2c76e",
 }
 
 
