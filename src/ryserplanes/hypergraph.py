@@ -8,6 +8,7 @@ broken lexicographically so witnesses are stable across runs.
 """
 
 from dataclasses import dataclass
+from math import lcm
 from typing import Optional
 
 from .errors import ArityMismatch, UnknownEdge
@@ -88,7 +89,8 @@ class _ExactSolver:
     Edge subfamilies are bitmasks over edge indices; the matching search
     recurses at most nu + 1 deep.  The cover search memoizes exact values
     and one lower bound per subfamily, so repeated queries (restrictions,
-    decomposition searches) share all earlier work.
+    decomposition searches) share all earlier work.  That bound starts as
+    the weight of a fractional matching, which bounds tau* and so tau.
     """
 
     def __init__(self, h: Hypergraph):
@@ -178,26 +180,39 @@ class _ExactSolver:
         comps = []
         rem = U
         while rem:
-            comp = rem & -rem
-            while True:
-                grown = comp
-                for ei in _bits(comp):
+            # grow from the newly reached edges only; stop once nothing is left
+            comp = frontier = rem & -rem
+            while frontier and comp != rem:
+                grown = 0
+                for ei in _bits(frontier):
                     grown |= self.conflict[ei]
-                grown &= U
-                if grown == comp:
-                    break
-                comp = grown
+                frontier = grown & rem & ~comp
+                comp |= frontier
             comps.append(comp)
             rem &= ~comp
         return comps
 
     def _degree_lb(self, U: int) -> int:
-        # tau * (max degree) >= number of edges, per component already split off
-        maxdeg = max((self.vert_edges[p] & U).bit_count() for p in _bits(self.support(U)))
-        return -(-U.bit_count() // maxdeg)
+        # fractional matching: y_e = 1 / (largest degree in U of a vertex of e)
+        # loads each vertex by at most 1, so tau(U) >= ceil(sum y_e).  Edges
+        # are grouped by that degree with masks: by_deg[d] holds the edges
+        # meeting a vertex of degree d, and an edge's largest degree is the
+        # first group, from the top, that holds it.  Scaled by L, all exact.
+        by_deg = {}
+        for p in _bits(self.support(U)):
+            inc = self.vert_edges[p] & U
+            d = inc.bit_count()
+            by_deg[d] = by_deg.get(d, 0) | inc
+        L = lcm(*by_deg)
+        seen = 0
+        total = 0
+        for d in sorted(by_deg, reverse=True):
+            total += (by_deg[d] & ~seen).bit_count() * (L // d)
+            seen |= by_deg[d]
+        return -(-total // L)
 
     def _lb(self, U: int) -> int:
-        """Memoised degree bound on tau(U); a failed `tau_le` raises it later."""
+        """Memoised fractional-matching bound on tau(U); a failed `tau_le` raises it."""
         lb = self._lower.get(U)
         if lb is None:
             lb = self._lower[U] = self._degree_lb(U)

@@ -254,10 +254,10 @@ def test_tau_subfamily_matches_restricted_cover():
 # ---- randomized cross-checks ----
 
 
-def random_instance(rng):
+def random_instance(rng, max_edges=8):
     r = rng.randrange(2, 5)
     per_side = rng.randrange(2, 5)
-    m = min(rng.randrange(1, 9), per_side ** r)
+    m = min(rng.randrange(1, max_edges + 1), per_side ** r)
     edges = set()
     while len(edges) < m:
         edges.add(tuple(sorted(
@@ -284,3 +284,82 @@ def test_nu_tau_sandwich_on_randoms():
         h = random_instance(rng)
         v = is_ryser(h).value
         assert v["nu"] <= v["tau"] <= h.r * v["nu"]
+
+
+# ---- the cover search's lower bound and search size ----
+
+
+def brute_tau_subsets(h, edge_ids):
+    # smallest vertex set meeting every edge, by plain subset enumeration
+    edges = [set(h.edges[i]) for i in edge_ids]
+    support = sorted(set().union(*edges))
+    for k in range(len(support) + 1):
+        for pick in combinations(support, k):
+            chosen = set(pick)
+            if all(e & chosen for e in edges):
+                return k
+
+
+def test_fractional_bound_is_sound_and_dominates_degree_bound():
+    rng = random.Random(2718)
+    gains = 0
+    for _ in range(80):
+        h = random_instance(rng, max_edges=10)
+        m = len(h.edges)
+        s = h.solver()
+        for _ in range(4):
+            ids = [i for i in range(m) if rng.random() < 0.7] or [rng.randrange(m)]
+            deg = {}
+            for i in ids:
+                for v in h.edges[i]:
+                    deg[v] = deg.get(v, 0) + 1
+            degree_bound = -(-len(ids) // max(deg.values()))
+            lb = s._degree_lb(sum(1 << i for i in ids))
+            assert degree_bound <= lb <= brute_tau_subsets(h, ids), (h.edges, ids)
+            gains += lb > degree_bound
+    # the sample must hold families where the two bounds differ
+    assert gains >= 5
+
+
+def test_fractional_bound_beats_degree_bound_on_h2_q7():
+    h, _ = build_h2(7, 2)
+    s = h.solver()
+    U = s.all_edges
+    maxdeg = max((inc & U).bit_count() for inc in s.vert_edges)
+    assert -(-U.bit_count() // maxdeg) == 10
+    assert s._degree_lb(U) == 11
+
+
+# `_lower` entries after one cover_number on a fresh build; the counts do
+# not depend on the machine, so a weaker bound or a larger tree shows here
+LOWER_MEMO_CEILINGS = {
+    "h1(5,2)": (lambda: build_h1(5, 2)[0], 410),
+    "h2(5,2)": (lambda: build_h2(5, 2)[0], 252),
+    "TC(7)": (lambda: conic_truncated(7), 901),
+    "h2(7,2)": (lambda: build_h2(7, 2)[0], 1589),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LOWER_MEMO_CEILINGS))
+def test_cover_search_size_does_not_grow(name):
+    build, ceiling = LOWER_MEMO_CEILINGS[name]
+    h = build()
+    cover_number(h)
+    assert len(h.solver()._lower) <= ceiling
+
+
+def test_h2_q7_cover_is_frozen():
+    # taken from the solver before the fractional bound, where it ran ~20 s
+    h, _ = build_h2(7, 2)
+    cert = cover_number(h)
+    assert cert.value["tau"] == 14
+    assert cert.witness == (0, 1, 2, 3, 4, 5, 6, 56, 57, 58, 59, 60, 61, 63)
+    assert cover_is_valid(h, cert.witness)
+
+
+@pytest.mark.parametrize("build, q", [(build_h2, 9), (build_h1, 7)])
+def test_nu2_cover_is_2q_at_larger_q(build, q):
+    h, _ = build(q, 2)
+    cert = cover_number(h)
+    assert cert.value["tau"] == 2 * q
+    assert cover_is_valid(h, cert.witness)
