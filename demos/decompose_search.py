@@ -4,9 +4,10 @@ Searching for two vertex-disjoint intersecting extremal pieces
 
 A trivial way to hit tau = (r-1) nu at nu = 2 is to drop two disjoint
 copies of an intersecting extremal family side by side.  The decompose
-search asks whether a given instance secretly has that shape: it
-enumerates every minimal pairwise-intersecting edge family with
-tau >= r-1 (a kernel) and looks for two on disjoint vertex sets.
+search asks whether a given instance secretly has that shape: it looks
+for two minimal pairwise-intersecting edge families with tau >= r-1
+(kernels) on disjoint vertex sets.  It is partner-first: it grows one
+family only while the edges that avoid it still hold a kernel.
 """
 
 from ryserplanes import (
@@ -27,7 +28,7 @@ print("  second kernel edges", res.pair.second.edge_ids)
 h, _ = build_h1(3, 2)
 res = find_disjoint_ryser_pair(h)
 print("\nh1(3,2):", res.outcome,
-      f"({len(res.enumeration.kernels)} kernels, search {res.enumeration.status})")
+      f"({res.enumeration.visited} search nodes, search {res.enumeration.status})")
 
 # the nu=3 construction is not: a third glued plane leaves enough room
 # for two kernels that avoid each other

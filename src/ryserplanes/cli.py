@@ -34,6 +34,17 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+def _positive(text):
+    # a cap below 1 would end the search at once and read as a verdict
+    try:
+        n = int(text)
+    except ValueError:
+        n = 0
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer of at least 1, got {text!r}")
+    return n
+
+
 def _parser():
     p = _Parser(prog="ryserplanes")
     sub = p.add_subparsers(dest="command", required=True)
@@ -55,7 +66,7 @@ def _parser():
     d = sub.add_parser("decompose",
                        help="search for two vertex-disjoint intersecting Ryser subfamilies")
     d.add_argument("--in", dest="infile", required=True)
-    d.add_argument("--cap", type=int, default=DEFAULT_CAP)
+    d.add_argument("--cap", type=_positive, default=DEFAULT_CAP)
     d.add_argument("--cert")
 
     o = sub.add_parser("oracle", help="run a blocking-set search")
@@ -124,7 +135,6 @@ def _cmd_decompose(args):
     res = find_disjoint_ryser_pair(h, cap=args.cap)
     out = {
         "outcome": res.outcome,
-        "kernels": len(res.enumeration.kernels),
         "visited": res.enumeration.visited,
         "pair": None if res.pair is None else [
             list(res.pair.first.edge_ids), list(res.pair.second.edge_ids)

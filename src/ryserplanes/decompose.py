@@ -5,16 +5,20 @@ restricted cover number reaches r - 1, every proper subfamily falling short.
 If two vertex-disjoint intersecting subhypergraphs with tau >= r - 1 exist
 at all, then shrinking each one edge at a time (pairwise intersection and
 the tau threshold survive shrinking to a minimal subfamily, and supports
-only shrink) yields two support-disjoint kernels.  So scanning all kernel
-pairs for disjoint supports decides the property, and a completed
-enumeration certifies a negative answer.
+only shrink) yields two support-disjoint kernels.
+
+Both searches walk the cliques of the edge-intersection graph in ascending
+edge-id order, and a clique's support only grows along the walk.  The pair
+search is partner-first: it keeps a clique only while the edges avoiding
+its support still hold a kernel, so the first clique to reach r - 1 is one
+half of a pair, and a completed walk certifies a negative answer.
 """
 
 from dataclasses import dataclass
 from typing import Optional
 
 from .errors import SearchTooLarge
-from .hypergraph import Certificate, Hypergraph, _bits, _mask
+from .hypergraph import Certificate, Hypergraph, _bits
 
 DEFAULT_CAP = 10 ** 7
 
@@ -34,8 +38,8 @@ class WitnessPair:
 
 @dataclass(frozen=True)
 class KernelEnumeration:
-    kernels: tuple
-    status: str  # exhausted | cap_hit
+    kernels: tuple  # the kernels found; for the pair search, the pair
+    status: str  # exhausted (the walk ran to its end) | cap_hit
     visited: int
 
 
@@ -51,79 +55,143 @@ class _CapHit(Exception):
     pass
 
 
-def enumerate_kernels(h: Hypergraph, cap: int = DEFAULT_CAP) -> KernelEnumeration:
-    """All minimal kernels, by lexicographic clique search.
+class _Budget:
+    """Search nodes spent against a cap; spending past it raises `_CapHit`."""
 
-    Cliques of the edge-intersection graph are visited in ascending edge-id
-    order.  A clique reaching the tau threshold is emitted iff minimal, and
-    its supersets are pruned either way: they contain a qualifying proper
-    subfamily, so they cannot be minimal.  Prefixes of a minimal kernel
-    never reach the threshold (tau only grows with edges), so every kernel
-    is visited before any pruning applies to it.
+    def __init__(self, cap):
+        self.cap = cap
+        self.spent = 0
+
+    def spend(self, n):
+        self.spent += n
+        if self.spent > self.cap:
+            raise _CapHit
+
+
+def _reaching_cliques(s, r, allowed, budget, keep=None):
+    """Cliques within `allowed` whose cover number reaches r - 1.
+
+    Cliques are visited in ascending edge-id order, one budget node each,
+    and one that reaches the threshold is yielded and not extended.  A
+    clique is dropped with everything above it when `keep` rejects it, or
+    when it and all of its candidates still have a cover of r - 2 vertices,
+    so that no extension can reach r - 1.  That second cut never drops a
+    prefix of a clique that reaches the threshold, so every minimal kernel
+    is yielded unless `keep` drops one of its prefixes.
     """
-    s = h.solver()
-    m = len(h.edges)
-    threshold = h.r - 2  # tau_le(mask, r - 2) false  <=>  tau >= r - 1
-    adj = [s.conflict[e] & ~(1 << e) for e in range(m)]
-    kernels = []
-    visited = 0
+    threshold = r - 2  # tau_le(mask, r - 2) false  <=>  tau >= r - 1
 
     def dfs(mask, cand):
-        nonlocal visited
         for e in _bits(cand):
-            visited += 1
-            if visited > cap:
-                raise _CapHit
+            budget.spend(1)
             sub = mask | (1 << e)
-            # cheap dismissal first: a greedy cover within threshold already
-            # rules the clique out, no exact search needed
-            if not s.greedy_cover_le(sub, threshold) and not s.tau_le(sub, threshold):
-                # dropping e leaves `mask`, entered only below the threshold
-                minimal = all(
-                    s.tau_le(sub & ~(1 << f), threshold) for f in _bits(mask)
-                )
-                if minimal:
-                    ids = tuple(_bits(sub))
-                    support = frozenset(s.vids[p] for p in _bits(s.support(sub)))
-                    # minimal: any sub - {e} has tau <= r - 2, so tau(sub) = r - 1
-                    kernels.append(RyserKernel(ids, support, h.r - 1))
+            rest = cand & s.conflict[e] & ~((1 << (e + 1)) - 1)
+            if keep is not None and not keep(sub):
                 continue
-            above = ~((1 << (e + 1)) - 1)
-            dfs(sub, cand & adj[e] & above)
+            if s.tau_le(sub | rest, threshold):
+                continue
+            # cheap dismissal first: a greedy cover within threshold settles it
+            if rest and (s.greedy_cover_le(sub, threshold) or s.tau_le(sub, threshold)):
+                yield from dfs(sub, rest)
+            else:
+                yield sub
 
+    if not s.tau_le(allowed, threshold):
+        yield from dfs(0, allowed)
+
+
+def _kernel(s, r, mask) -> RyserKernel:
+    support = frozenset(s.vids[p] for p in _bits(s.support(mask)))
+    # minimal: any mask - {e} has tau <= r - 2, so tau(mask) = r - 1
+    return RyserKernel(tuple(_bits(mask)), support, r - 1)
+
+
+def enumerate_kernels(h: Hypergraph, cap: int = DEFAULT_CAP, within: Optional[int] = None,
+                      first: bool = False) -> KernelEnumeration:
+    """The minimal kernels among the edges of the mask `within` (default: all).
+
+    A clique reaching the tau threshold is a kernel iff minimal, and its
+    supersets are never visited: they contain a qualifying proper
+    subfamily, so they cannot be minimal.  Prefixes of a minimal kernel
+    never reach the threshold (tau only grows with edges), so every kernel
+    is found, in the walk's order.  With `first`, the walk ends at the first
+    kernel.
+    """
+    s = h.solver()
+    threshold = h.r - 2
+    budget = _Budget(cap)
+    kernels = []
     status = "exhausted"
     try:
-        dfs(0, (1 << m) - 1)
+        for sub in _reaching_cliques(s, h.r, s.all_edges if within is None else within, budget):
+            # dropping the last edge leaves a clique the walk extended
+            last = 1 << (sub.bit_length() - 1)
+            if all(s.tau_le(sub & ~(1 << f), threshold) for f in _bits(sub ^ last)):
+                kernels.append(_kernel(s, h.r, sub))
+                if first:
+                    break
     except _CapHit:
         status = "cap_hit"
-    return KernelEnumeration(tuple(kernels), status, visited)
+    return KernelEnumeration(tuple(kernels), status, budget.spent)
 
 
 def find_disjoint_ryser_pair(h: Hypergraph, cap: int = DEFAULT_CAP) -> PairSearchResult:
-    enum = enumerate_kernels(h, cap)
+    """Two support-disjoint kernels, or proof that there are none.
+
+    The partner of a clique is the first kernel among the edges that avoid
+    its support, found by `enumerate_kernels` and memoised per edge mask.
+    The walk drops a clique without a partner: its extensions have larger
+    supports, so they have none either.  The first clique to reach r - 1
+    with a partner is shrunk to a kernel, one edge dropped at a time while
+    the cover number stays r - 1, and paired with that partner.  `cap`
+    bounds the walk's nodes and the partner searches' nodes together.
+    """
     s = h.solver()
-    masks = [s.support(_mask(k.edge_ids)) for k in enum.kernels]
-    for i in range(len(masks)):
-        for j in range(i + 1, len(masks)):
-            if masks[i] & masks[j] == 0:
-                pair = WitnessPair(enum.kernels[i], enum.kernels[j])
-                cert = Certificate(
-                    kind="disjoint_pair",
-                    value={
-                        "r": h.r,
-                        "tau_first": pair.first.tau,
-                        "tau_second": pair.second.tau,
-                    },
-                    witness=(pair.first.edge_ids, pair.second.edge_ids),
-                    exhaustive=True,  # the pair itself is the certificate
-                )
-                return PairSearchResult("some", pair, enum, cert)
-    outcome = "none" if enum.status == "exhausted" else "inconclusive"
+    threshold = h.r - 2
+    budget = _Budget(cap)
+    partners = {}
+
+    def partner(mask):
+        touched = 0
+        for e in _bits(mask):
+            touched |= s.conflict[e]
+        avoid = s.all_edges & ~touched
+        if avoid not in partners:
+            enum = enumerate_kernels(h, budget.cap - budget.spent, within=avoid, first=True)
+            budget.spend(enum.visited)
+            partners[avoid] = enum.kernels[0] if enum.kernels else None
+        return partners[avoid]
+
+    status = "exhausted"
+    try:
+        sub = next(_reaching_cliques(s, h.r, s.all_edges, budget, keep=partner), None)
+    except _CapHit:
+        status, sub = "cap_hit", None
+    if sub is not None:
+        second = partner(sub)
+        for f in _bits(sub):
+            if not s.tau_le(sub & ~(1 << f), threshold):
+                sub &= ~(1 << f)
+        pair = WitnessPair(_kernel(s, h.r, sub), second)
+        enum = KernelEnumeration((pair.first, pair.second), status, budget.spent)
+        cert = Certificate(
+            kind="disjoint_pair",
+            value={
+                "r": h.r,
+                "tau_first": pair.first.tau,
+                "tau_second": pair.second.tau,
+            },
+            witness=(pair.first.edge_ids, pair.second.edge_ids),
+            exhaustive=True,  # the pair itself is the certificate
+        )
+        return PairSearchResult("some", pair, enum, cert)
+    enum = KernelEnumeration((), status, budget.spent)
+    outcome = "none" if status == "exhausted" else "inconclusive"
     cert = Certificate(
         kind="no_disjoint_pair",
-        value={"r": h.r, "kernels": len(enum.kernels), "visited": enum.visited},
+        value={"r": h.r, "visited": budget.spent},
         witness=None,
-        exhaustive=enum.status == "exhausted",
+        exhaustive=status == "exhausted",
     )
     return PairSearchResult(outcome, None, enum, cert)
 

@@ -28,6 +28,32 @@ def make(r, per_side, edges):
     return Hypergraph(r, verts, [tuple(sorted(e)) for e in edges])
 
 
+def covered_by(h, edge_ids, b):
+    """Brute force, no solver code: do b vertices meet every listed edge?"""
+    edges = [set(h.edges[e]) for e in edge_ids]
+    support = sorted(set().union(*edges))
+    return any(
+        all(e & set(pick) for e in edges)
+        for k in range(min(b, len(support)) + 1)
+        for pick in combinations(support, k)
+    )
+
+
+def assert_kernel_pair(h, pair, covered=covered_by):
+    """Two pairwise-intersecting families on disjoint supports, each a
+    minimal kernel: no cover of r - 2 vertices, one once any edge is gone."""
+    a, b = pair.first, pair.second
+    assert a.support.isdisjoint(b.support)
+    for k in (a, b):
+        assert k.tau == h.r - 1
+        assert k.support == frozenset(v for e in k.edge_ids for v in h.edges[e])
+        for x, y in combinations(k.edge_ids, 2):
+            assert set(h.edges[x]) & set(h.edges[y])
+        assert not covered(h, k.edge_ids, h.r - 2)
+        for e in k.edge_ids:
+            assert covered(h, [f for f in k.edge_ids if f != e], h.r - 2)
+
+
 def test_conic_truncation_is_a_single_kernel():
     # the whole family is intersecting with tau = r - 1; no proper
     # subfamily reaches the threshold, so it is its own unique kernel
@@ -109,19 +135,53 @@ def test_h2_q7_has_a_disjoint_pair():
     assert support[0].isdisjoint(support[1])
 
 
-@pytest.mark.parametrize("nu, outcome, pair", [
-    (2, "none", None),
-    (3, "some", ((1, 2, 3, 4, 5, 13), (15, 16, 17, 18, 19, 20))),
-])
-def test_pair_search_outcome_is_frozen(nu, outcome, pair):
-    # the outcome and the pair as the search first committed them on h1(3,nu)
+def test_search_finds_the_h2_q7_pair():
+    # the partner-first search decides h2(7,2) on its own, in a few hundred
+    # nodes; the pair is re-checked with the solver, as brute force over
+    # the 6-vertex subsets of each support is past a unit test's budget
+    h, _ = build_h2(7, 2)
+    res = find_disjoint_ryser_pair(h, cap=2000)
+    assert res.outcome == "some"
+    assert res.certificate.exhaustive
+    assert_kernel_pair(
+        h, res.pair, covered=lambda h, ids, b: tau_subfamily(h, ids) <= b
+    )
+    assert tau_subfamily(h, res.pair.first.edge_ids) == 7
+    assert tau_subfamily(h, res.pair.second.edge_ids) == 7
+
+
+@pytest.mark.parametrize("nu, outcome", [(2, "none"), (3, "some")])
+def test_pair_search_outcome_is_frozen(nu, outcome):
+    # the outcome on h1(3,nu) as the search first committed it; a pair
+    # found is re-checked by brute force, not pinned, so that the search
+    # order may change
     h, _ = build_h1(3, nu)
     res = find_disjoint_ryser_pair(h)
     assert res.outcome == outcome
-    if pair is None:
+    if outcome == "none":
         assert res.pair is None
     else:
-        assert (res.pair.first.edge_ids, res.pair.second.edge_ids) == pair
+        assert_kernel_pair(h, res.pair)
+
+
+@pytest.mark.parametrize("name, outcome, ceiling", [
+    ("h2(4,2)", "none", 2830),
+    ("h2(4,3)", "some", 130),
+    ("TC(5)", "none", 15),
+    ("TC(5)+TC(5)", "some", 30),
+])
+def test_pair_search_size_does_not_grow(name, outcome, ceiling):
+    # search nodes, walk and partner searches together, do not depend on
+    # the machine; the ceilings are the counts of the partner-first search
+    h = {
+        "h2(4,2)": lambda: build_h2(4, 2)[0],
+        "h2(4,3)": lambda: build_h2(4, 3)[0],
+        "TC(5)": lambda: conic_truncated(5),
+        "TC(5)+TC(5)": lambda: disjoint_union(conic_truncated(5), conic_truncated(5)),
+    }[name]()
+    res = find_disjoint_ryser_pair(h)
+    assert res.outcome == outcome
+    assert res.enumeration.visited <= ceiling
 
 
 def test_cap_reports_inconclusive():
@@ -131,6 +191,21 @@ def test_cap_reports_inconclusive():
     assert res.enumeration.status == "cap_hit"
     assert res.enumeration.visited == 51
     assert not res.certificate.exhaustive
+
+
+def test_cap_counts_partner_lookups():
+    # on TC(3) + TC(3) the walk grows the first copy in six nodes, and the
+    # one partner lookup, for the edges that avoid edge 0, spends six
+    # growing the second copy; the cap bounds both together
+    tc = conic_truncated(3)
+    h = disjoint_union(tc, tc)
+    res = find_disjoint_ryser_pair(h)
+    assert res.outcome == "some"
+    assert res.enumeration.visited == 12
+    assert find_disjoint_ryser_pair(h, cap=12).outcome == "some"
+    short = find_disjoint_ryser_pair(h, cap=11)
+    assert short.outcome == "inconclusive"
+    assert short.enumeration.visited == 12
 
 
 def test_brute_force_rejects_large_inputs():
@@ -160,6 +235,8 @@ def test_search_agrees_with_brute_force_on_small_instances():
         assert res.enumeration.status == "exhausted"
         expect = brute_force_disjoint_pair(h)
         assert (res.outcome == "some") == expect
+        if expect:
+            assert_kernel_pair(h, res.pair)
         hits += expect
     assert hits > 0  # the corpus must exercise both outcomes
 

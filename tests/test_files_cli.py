@@ -179,6 +179,20 @@ def test_cli_decompose_exit_codes(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["outcome"] == "inconclusive"
 
 
+@pytest.mark.parametrize("cap", ["0", "-5"])
+def test_cli_decompose_rejects_a_cap_below_one(tmp_path, capsys, cap):
+    # a cap that stops the search before it starts is a flag error, not
+    # an inconclusive verdict
+    path = tmp_path / "h1.json"
+    save_hypergraph(path, build_h1(3, 2)[0])
+    with pytest.raises(SystemExit) as exc:
+        main(["decompose", "--in", str(path), "--cap", cap])
+    assert exc.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and "--cap" in captured.err
+
+
 def test_cli_oracle(capsys):
     assert main(["oracle", "blocking", "--q", "2"]) == 0
     out = json.loads(capsys.readouterr().out)
