@@ -160,6 +160,7 @@ def _cmd_oracle(args):
         "count": rep.count,
         "blockers": [list(b) for b in rep.blockers],
         "classes": list(rep.classes),
+        "visited": rep.visited,
     }
     print(json.dumps(out, sort_keys=True))
     return 0

@@ -34,6 +34,7 @@ class BlockerReport:
     count: int
     blockers: tuple  # ascending point-id tuples, lexicographically sorted
     classes: tuple  # one label per blocker
+    visited: int  # search nodes over every budget the search tried
 
 
 def blocks_all(plane: ProjectivePlane, pts, line_ids) -> bool:
@@ -49,44 +50,43 @@ def is_minimal_blocker(plane: ProjectivePlane, pts, line_ids) -> bool:
 
 
 def _minimal_blockers(plane, line_ids, budget):
-    """Every minimal blocker of the line family with at most budget points.
+    """Every minimal blocker of the line family with at most budget points,
+    and the number of search nodes visited.
 
-    Branches on the first unblocked line; inside a branch node the earlier
-    points of that line are forbidden downstream, so each set is built along
-    one canonical path.  Output sets need not be minimal and are filtered.
+    Each node carries the mask of family lines its chosen points leave
+    unblocked; a child clears the lines through its new point, so no node
+    rescans the family.  The search branches on the lowest unblocked line;
+    inside a branch node the earlier points of that line are forbidden
+    downstream, so each set is built along one canonical path.  Output sets
+    need not be minimal and are filtered.
     """
     pts_of = [sorted(plane.lines[lid].points) for lid in line_ids]
     masks = [_mask(pts) for pts in pts_of]
-    through = {}
-    for m in masks:
-        for p in _bits(m):
-            through[p] = through.get(p, 0) + 1
-    max_through = max(through.values())
+    on = [0] * len(plane.points)  # point -> mask of family-line indices through it
+    for i, pts in enumerate(pts_of):
+        for p in pts:
+            on[p] |= 1 << i
+    max_through = max(m.bit_count() for m in on)
     found = set()
+    visited = 0
 
-    def dfs(chosen, size, forbidden):
-        first = -1
-        unblocked = 0
-        for i, m in enumerate(masks):
-            if m & chosen == 0:
-                unblocked += 1
-                if first < 0:
-                    first = i
-        if first < 0:
+    def dfs(chosen, size, forbidden, unblocked):
+        nonlocal visited
+        visited += 1
+        if not unblocked:
             found.add(chosen)
             return
-        rem = budget - size
         # each added point blocks at most max_through family lines
-        if rem <= 0 or -(-unblocked // max_through) > rem:
+        if unblocked.bit_count() > (budget - size) * max_through:
             return
         fb = forbidden
-        for p in pts_of[first]:
+        for p in pts_of[(unblocked & -unblocked).bit_length() - 1]:
             pb = 1 << p
             if not fb & pb:
-                dfs(chosen | pb, size + 1, fb)
+                dfs(chosen | pb, size + 1, fb, unblocked & ~on[p])
             fb |= pb
 
-    dfs(0, 0, 0)
+    dfs(0, 0, 0, (1 << len(masks)) - 1)
     out = []
     for ch in found:
         private = 0
@@ -96,7 +96,7 @@ def _minimal_blockers(plane, line_ids, budget):
                 private |= inter
         if private == ch:
             out.append(tuple(_bits(ch)))
-    return sorted(out)
+    return sorted(out), visited
 
 
 def _subgroup_size(q: int, n: int, d: int) -> bool:
@@ -155,12 +155,12 @@ def min_blocking_sets(q: int) -> BlockerReport:
         raise SearchTooLarge(f"all-lines blocker search is capped at q = 5, got {q}")
     plane = plane_build(q)
     line_ids = range(len(plane.lines))
-    blockers = _minimal_blockers(plane, line_ids, q + 1)
+    blockers, visited = _minimal_blockers(plane, line_ids, q + 1)
     minimum = min(len(b) for b in blockers)
     at_min = [b for b in blockers if len(b) == minimum]
     conic = conic_canonical(plane)
     classes = tuple(_classify(plane, conic, b) for b in at_min)
-    return BlockerReport(q, "all_lines", minimum, len(at_min), tuple(at_min), classes)
+    return BlockerReport(q, "all_lines", minimum, len(at_min), tuple(at_min), classes, visited)
 
 
 def classify_conic_blockers(q: int) -> BlockerReport:
@@ -185,7 +185,7 @@ def classify_conic_blockers(q: int) -> BlockerReport:
         for line in plane.lines
         if classify_line(conic, line) in ("tangent", "secant")
     ]
-    minimal = _minimal_blockers(plane, fam, q + 1)
+    minimal, visited = _minimal_blockers(plane, fam, q + 1)
     npts = len(plane.points)
     seen = set()
     for b in minimal:
@@ -194,7 +194,9 @@ def classify_conic_blockers(q: int) -> BlockerReport:
             seen.add(tuple(sorted(b + extra)))
     blockers = sorted(seen)
     classes = tuple(_classify(plane, conic, b) for b in blockers)
-    return BlockerReport(q, "tangent_secant", q + 1, len(blockers), tuple(blockers), classes)
+    return BlockerReport(
+        q, "tangent_secant", q + 1, len(blockers), tuple(blockers), classes, visited
+    )
 
 
 def min_nontrivial_blocking(q: int) -> BlockerReport:
@@ -210,14 +212,17 @@ def min_nontrivial_blocking(q: int) -> BlockerReport:
     line_ids = range(len(plane.lines))
     conic = conic_canonical(plane)
     budget = q + 2
+    visited = 0
     while True:
-        blockers = _minimal_blockers(plane, line_ids, budget)
+        blockers, n = _minimal_blockers(plane, line_ids, budget)
+        visited += n
         nontrivial = [b for b in blockers if not _is_line(plane, b)]
         if nontrivial:
             break
         budget += 1
-        assert budget <= 3 * (q + 1), "deepening ran past every known bound"
+        if budget > 3 * (q + 1):
+            raise RuntimeError("deepening ran past every known bound")
     minimum = min(len(b) for b in nontrivial)
     at_min = [b for b in nontrivial if len(b) == minimum]
     classes = tuple(_classify(plane, conic, b) for b in at_min)
-    return BlockerReport(q, "nontrivial", minimum, len(at_min), tuple(at_min), classes)
+    return BlockerReport(q, "nontrivial", minimum, len(at_min), tuple(at_min), classes, visited)

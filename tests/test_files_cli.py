@@ -198,6 +198,7 @@ def test_cli_oracle(capsys):
     out = json.loads(capsys.readouterr().out)
     assert (out["minimum"], out["count"]) == (3, 7)
     assert set(out["classes"]) == {"line"}
+    assert out["visited"] == 26
 
     assert main(["oracle", "conic-blockers", "--q", "4"]) == 1
     assert "error: NotOddPrime" in capsys.readouterr().err

@@ -4,13 +4,19 @@ Counts were derived by this package's own enumeration and cross-checked
 structurally in the assertions below (every reported set re-verifies as a
 blocker, minimality holds, the conic blockers labelled `tangent_trade` are
 exactly the single-point trades along a tangent, and no conic blocker is
-left unclassified).
+left unclassified).  The blocker lists are pinned by digest and the search
+trees by their node counts, so a change to the search that keeps the
+answers but walks a different tree shows up too.
 """
 
+import hashlib
+import json
 from collections import Counter
+from functools import cache
 
 import pytest
 
+from ryserplanes import oracles
 from ryserplanes.errors import NotOddPrime, SearchTooLarge
 from ryserplanes.geometry import classify_line, conic_canonical, plane_build
 from ryserplanes.oracles import (
@@ -21,10 +27,67 @@ from ryserplanes.oracles import (
     min_nontrivial_blocking,
 )
 
+SEARCHES = {
+    "blocking": min_blocking_sets,
+    "conic-blockers": classify_conic_blockers,
+    "nontrivial": min_nontrivial_blocking,
+}
+
+# (kind, q, search nodes over every budget tried,
+#  sha256 of json.dumps([rep.blockers, rep.classes]))
+FROZEN = [
+    ("blocking", 2, 26, "3bffabe64fd2e5eeedddcb8344946d17b4140397db2eabaec13802344de401ec"),
+    ("blocking", 3, 179, "297da5bf1b4555bf9f53e87c3226ad979a1927096a7d31d136c1b7863c1e1e64"),
+    ("blocking", 4, 538, "21e4f8eb98027c9e7d9d25161da10e1354b4298693b6869463686bfab27b3107"),
+    ("blocking", 5, 3763, "0b355838afe14ea9ee72b52573a4969de60f541f4bc5c316167645feaba5467b"),
+    ("conic-blockers", 3, 180, "4c0deb5d3b5ee4cdc41fb5d8051f4e076a7a89c9c6b84a458a757849b6d32a04"),
+    ("conic-blockers", 5, 18391, "f02bf39b5d28102a289f59699c458488794c42e86bd40d7183fa295c0565d8a3"),
+    ("nontrivial", 3, 1207, "311e5178ad969b30bd17589081cecb7536d7dab459c3df84144d2ea875399f52"),
+    ("nontrivial", 4, 18315, "2115920921d90bf2fc5d85a81b84c7aae20f4d1af96012a4668be94a32821ec2"),
+    ("nontrivial", 5, 1097635, "42c254f52f7e705b2e43e99b84bb995454bf8a0fce9b10bcea1701f9acfeaf2f"),
+]
+
+FROZEN_IDS = [f"{kind}-{q}" for kind, q, _, _ in FROZEN]
+
+
+@cache
+def report(kind, q):
+    """Each search runs once per test session; reports are frozen."""
+    return SEARCHES[kind](q)
+
+
+@pytest.mark.parametrize("kind,q,visited,digest", FROZEN, ids=FROZEN_IDS)
+def test_blocker_lists_are_frozen(kind, q, visited, digest):
+    rep = report(kind, q)
+    text = json.dumps([rep.blockers, rep.classes])
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("kind,q,visited,digest", FROZEN, ids=FROZEN_IDS)
+def test_search_node_counts_are_frozen(kind, q, visited, digest):
+    assert report(kind, q).visited == visited
+
+
+@pytest.mark.parametrize(
+    "q,counts",
+    [
+        (3, [13, 13, 247, 247]),
+        (4, [21, 21, 381, 10461]),
+        (5, [31, 31, 31, 15531]),
+    ],
+)
+def test_minimal_blocker_counts_by_budget(q, counts):
+    # budgets q+1 .. q+4 over all lines: only the lines, until the budget
+    # reaches the smallest nontrivial blocker
+    plane = plane_build(q)
+    line_ids = range(len(plane.lines))
+    found = [len(oracles._minimal_blockers(plane, line_ids, b)[0]) for b in range(q + 1, q + 5)]
+    assert found == counts
+
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5])
 def test_minimum_blockers_are_exactly_the_lines(q):
-    rep = min_blocking_sets(q)
+    rep = report("blocking", q)
     assert rep.target == "all_lines"
     assert rep.minimum == q + 1
     assert rep.count == q * q + q + 1
@@ -49,7 +112,7 @@ def test_min_blocking_sets_budget():
     ],
 )
 def test_conic_blocker_census(q, histogram):
-    rep = classify_conic_blockers(q)
+    rep = report("conic-blockers", q)
     assert rep.target == "tangent_secant"
     assert rep.minimum == q + 1
     assert dict(Counter(rep.classes)) == histogram
@@ -70,7 +133,7 @@ def test_unclassified_conic_blockers_are_single_tangent_trades(q):
     # the blockers a subgroup swap cannot explain trade one conic point x
     # for one point of the tangent at x; they carry their own label, and
     # nothing is left as `other`
-    rep = classify_conic_blockers(q)
+    rep = report("conic-blockers", q)
     plane = plane_build(q)
     conic = conic_canonical(plane)
     cset = set(conic.points)
@@ -111,17 +174,26 @@ def test_conic_blockers_reject_bad_orders():
     ],
 )
 def test_smallest_nontrivial_blockers(q, minimum, count, cls):
-    rep = min_nontrivial_blocking(q)
+    rep = report("nontrivial", q)
     assert rep.target == "nontrivial"
     assert rep.minimum == minimum
     assert rep.count == count
+    assert len(set(rep.blockers)) == count
     assert set(rep.classes) == {cls}
-    plane = plane_build(q)
-    line_ids = range(len(plane.lines))
-    sample = rep.blockers[:: max(1, len(rep.blockers) // 40)]
-    for b in sample:
-        assert is_minimal_blocker(plane, b, line_ids)
-        assert not any(set(l.points) <= set(b) for l in plane.lines)
+    # every blocker, checked on plain line masks built here: it meets every
+    # line, holds no whole line, and each of its points is the only one on
+    # some line (so no point can be dropped)
+    lines = [sum(1 << p for p in line.points) for line in plane_build(q).lines]
+    for b in rep.blockers:
+        assert len(b) == minimum
+        pts = sum(1 << p for p in b)
+        private = 0
+        for line in lines:
+            meet = line & pts
+            assert meet and meet != line
+            if meet & (meet - 1) == 0:
+                private |= meet
+        assert private == pts
 
 
 def test_nontrivial_budget():
@@ -129,3 +201,14 @@ def test_nontrivial_budget():
         min_nontrivial_blocking(2)
     with pytest.raises(SearchTooLarge):
         min_nontrivial_blocking(7)
+
+
+def test_nontrivial_deepening_stops(monkeypatch):
+    # a search that only ever finds lines must end in an error, also under
+    # python -O, where an assert would let the deepening run forever
+    def only_lines(plane, line_ids, budget):
+        return [tuple(sorted(plane.lines[lid].points)) for lid in line_ids], 1
+
+    monkeypatch.setattr(oracles, "_minimal_blockers", only_lines)
+    with pytest.raises(RuntimeError, match="deepening ran past every known bound"):
+        min_nontrivial_blocking(3)
