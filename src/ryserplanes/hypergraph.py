@@ -90,7 +90,11 @@ class _ExactSolver:
     recurses at most nu + 1 deep.  The cover search memoizes exact values
     and one lower bound per subfamily, so repeated queries (restrictions,
     decomposition searches) share all earlier work.  That bound starts as
-    the weight of a fractional matching, which bounds tau* and so tau.
+    the weight of a fractional matching, which bounds tau* and so tau.  A
+    node that computes its matching hands it to its children: a child whose
+    share of those weights already exceeds its budget is cut without a bound
+    pass of its own, and its entry is stored negated, -k, to say that k was
+    inherited and the child's own bound is still to be computed.
     """
 
     def __init__(self, h: Hypergraph):
@@ -192,29 +196,41 @@ class _ExactSolver:
             rem &= ~comp
         return comps
 
-    def _degree_lb(self, U: int) -> int:
+    def _fractional(self, U: int):
         # fractional matching: y_e = 1 / (largest degree in U of a vertex of e)
         # loads each vertex by at most 1, so tau(U) >= ceil(sum y_e).  Edges
         # are grouped by that degree with masks: by_deg[d] holds the edges
         # meeting a vertex of degree d, and an edge's largest degree is the
-        # first group, from the top, that holds it.  Scaled by L, all exact.
+        # first group, from the top, that holds it.  Scaled by L, all exact:
+        # returns (L, [(edges, L // d), ...], L * sum y_e).
         by_deg = {}
-        for p in _bits(self.support(U)):
-            inc = self.vert_edges[p] & U
+        for inc in filter(None, map(U.__and__, self.vert_edges)):
             d = inc.bit_count()
             by_deg[d] = by_deg.get(d, 0) | inc
         L = lcm(*by_deg)
         seen = 0
+        groups = []
         total = 0
         for d in sorted(by_deg, reverse=True):
-            total += (by_deg[d] & ~seen).bit_count() * (L // d)
+            g = by_deg[d] & ~seen
+            if g:
+                groups.append((g, L // d))
+                total += g.bit_count() * (L // d)
             seen |= by_deg[d]
+        return L, groups, total
+
+    def _degree_lb(self, U: int) -> int:
+        L, _, total = self._fractional(U)
         return -(-total // L)
 
     def _lb(self, U: int) -> int:
-        """Memoised fractional-matching bound on tau(U); a failed `tau_le` raises it."""
+        """Memoised fractional-matching bound on tau(U); a failed `tau_le` raises it.
+
+        A negative entry -k is a bound inherited from a parent, and U's own
+        bound, which is at least k, is computed in its place.
+        """
         lb = self._lower.get(U)
-        if lb is None:
+        if lb is None or lb < 0:
             lb = self._lower[U] = self._degree_lb(U)
         return lb
 
@@ -227,7 +243,15 @@ class _ExactSolver:
             return exact <= b
         if b <= 0:
             return False
-        if self._lb(U) > b:
+        lower = self._lower
+        lb = lower.get(U)
+        groups = None  # set only when this visit computes U's own bound
+        if lb is None or lb < 0:
+            if lb is not None and -lb > b:
+                return False
+            L, groups, total = self._fractional(U)
+            lb = lower[U] = -(-total // L)
+        if lb > b:
             return False
         comps = self.components(U)
         if len(comps) > 1:
@@ -263,9 +287,19 @@ class _ExactSolver:
                 continue
             kept.append((inc, p))
         for inc, p in kept:
-            if self.tau_le(U & ~inc, b - 1):
+            child = U & ~inc
+            # U's weights, less those of the edges p covers, still form a
+            # fractional matching of the child, whose degrees only fell
+            if groups is not None and child not in lower:
+                rest = total
+                for g, w in groups:
+                    rest -= (g & inc).bit_count() * w
+                if rest > (b - 1) * L:
+                    lower[child] = rest // -L
+                    continue
+            if self.tau_le(child, b - 1):
                 return True
-        self._lower[U] = b + 1
+        lower[U] = b + 1
         return False
 
     def tau_exact(self, U: int) -> int:
@@ -408,11 +442,17 @@ def disjoint_union(a: Hypergraph, b: Hypergraph) -> Hypergraph:
     return Hypergraph(a.r, verts, edges)
 
 
-def restrict(h: Hypergraph, edge_ids) -> Hypergraph:
+def _edge_ids(h: Hypergraph, edge_ids) -> list:
+    """The sorted distinct edge ids, each checked to name an edge of h."""
     ids = sorted(set(edge_ids))
     for ei in ids:
         if not 0 <= ei < len(h.edges):
             raise UnknownEdge(f"edge {ei} not in hypergraph with {len(h.edges)} edges")
+    return ids
+
+
+def restrict(h: Hypergraph, edge_ids) -> Hypergraph:
+    ids = _edge_ids(h, edge_ids)
     support = sorted({vid for ei in ids for vid in h.edges[ei]})
     verts = [h.vertex(vid) for vid in support]
     return Hypergraph(h.r, verts, [h.edges[ei] for ei in ids])
@@ -424,8 +464,8 @@ def tau_subfamily(h: Hypergraph, edge_ids) -> int:
     A cover of a subfamily only ever needs vertices in its support, so the
     full hypergraph's solver answers this directly on an edge mask.
     """
-    return h.solver().tau_exact(_mask(edge_ids))
+    return h.solver().tau_exact(_mask(_edge_ids(h, edge_ids)))
 
 
 def tau_subfamily_at_most(h: Hypergraph, edge_ids, b: int) -> bool:
-    return h.solver().tau_le(_mask(edge_ids), b)
+    return h.solver().tau_le(_mask(_edge_ids(h, edge_ids)), b)

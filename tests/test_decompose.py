@@ -184,6 +184,15 @@ def test_pair_search_size_does_not_grow(name, outcome, ceiling):
     assert res.enumeration.visited <= ceiling
 
 
+def test_pair_search_memo_does_not_grow():
+    # cover-solver memo entries the h2(4,2) search leaves behind: a count
+    # that does not depend on the machine, and that a per-node cache or a
+    # larger tree would raise
+    h = build_h2(4, 2)[0]
+    assert find_disjoint_ryser_pair(h).outcome == "none"
+    assert len(h.solver()._lower) <= 3096
+
+
 def test_cap_reports_inconclusive():
     h, _ = build_h1(3, 2)
     res = find_disjoint_ryser_pair(h, cap=50)

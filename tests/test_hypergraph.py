@@ -1,12 +1,22 @@
 """Solver behavior on hand-checkable instances plus randomized
 cross-validation against plain exhaustive search."""
 
+import hashlib
+import json
 import random
+import re
+from functools import cache
 from itertools import combinations
 
 import pytest
 
-from ryserplanes.constructions import build_g1, build_h1, build_h2, conic_truncated
+from ryserplanes.constructions import (
+    build_g1,
+    build_h1,
+    build_h2,
+    conic_truncated,
+    truncated_plane,
+)
 from ryserplanes.errors import ArityMismatch, UnknownEdge
 from ryserplanes.hypergraph import (
     Hypergraph,
@@ -251,6 +261,19 @@ def test_tau_subfamily_matches_restricted_cover():
         assert tau_subfamily_at_most(h, ids, len(ids))
 
 
+@pytest.mark.parametrize("ids", [[999], [0, 1, 999], [4], [-1]])
+def test_subfamily_queries_reject_unknown_edges(ids):
+    # the same check as restrict: an id outside the edge list is an error,
+    # never an IndexError, a shift error or a bit the solver ignores
+    h = make(2, 3, [(0, 3), (1, 4), (2, 5), (0, 4)])
+    with pytest.raises(UnknownEdge):
+        restrict(h, ids)
+    with pytest.raises(UnknownEdge):
+        tau_subfamily(h, ids)
+    with pytest.raises(UnknownEdge):
+        tau_subfamily_at_most(h, ids, 2)
+
+
 # ---- randomized cross-checks ----
 
 
@@ -330,22 +353,104 @@ def test_fractional_bound_beats_degree_bound_on_h2_q7():
     assert s._degree_lb(U) == 11
 
 
+def test_inherited_bounds_are_sound():
+    # a negative `_lower` entry -k is a bound a parent's fractional matching
+    # proved for the child; every entry, either sign, is at most tau, and an
+    # inherited k never exceeds the child's own bound
+    rng = random.Random(31)
+    inherited = 0
+    for _ in range(80):
+        h = random_instance(rng, max_edges=10)
+        m = len(h.edges)
+        s = h.solver()
+        cover_number(h)
+        for _ in range(3):
+            s.tau_le(rng.randrange(1, 1 << m), rng.randrange(1, 4))
+        negative = []
+        for U, lb in s._lower.items():
+            ids = [i for i in range(m) if U >> i & 1]
+            assert abs(lb) <= brute_tau_subsets(h, ids), (h.edges, ids)
+            if lb < 0:
+                assert -lb <= s._degree_lb(U), (h.edges, ids)
+                negative.append(U)
+        # asked for its bound, a node cut by inheritance computes its own
+        for U in negative:
+            assert s._lb(U) == s._lower[U] == s._degree_lb(U)
+        inherited += len(negative)
+    # the sample must hold inherited entries
+    assert inherited >= 5
+
+
+def ladder_instance(name):
+    if name == "g1":
+        return build_g1()
+    fam, q, nu = re.fullmatch(r"(h1|h2|TC|T)\((\d+)(?:,(\d+))?\)", name).groups()
+    if fam == "T":
+        return truncated_plane(int(q))
+    if fam == "TC":
+        return conic_truncated(int(q))
+    return (build_h1 if fam == "h1" else build_h2)(int(q), int(nu))[0]
+
+
+@cache
+def covered(name):
+    """The solver of a fresh build after one cover_number; tests only read it."""
+    h = ladder_instance(name)
+    cover_number(h)
+    return h.solver()
+
+
 # `_lower` entries after one cover_number on a fresh build; the counts do
 # not depend on the machine, so a weaker bound or a larger tree shows here
 LOWER_MEMO_CEILINGS = {
-    "h1(5,2)": (lambda: build_h1(5, 2)[0], 410),
-    "h2(5,2)": (lambda: build_h2(5, 2)[0], 252),
-    "TC(7)": (lambda: conic_truncated(7), 901),
-    "h2(7,2)": (lambda: build_h2(7, 2)[0], 1589),
+    "h1(5,2)": 410,
+    "h2(5,2)": 252,
+    "TC(7)": 901,
+    "h2(7,2)": 1589,
+    "TC(9)": 24852,
 }
 
 
 @pytest.mark.parametrize("name", sorted(LOWER_MEMO_CEILINGS))
 def test_cover_search_size_does_not_grow(name):
-    build, ceiling = LOWER_MEMO_CEILINGS[name]
-    h = build()
-    cover_number(h)
-    assert len(h.solver()._lower) <= ceiling
+    assert len(covered(name)._lower) <= LOWER_MEMO_CEILINGS[name]
+
+
+def test_inherited_cut_spares_own_bound_passes():
+    # entries > 0 are the nodes that ran their own bound pass (or failed a
+    # search); the rest were cut by a parent's fractional matching
+    lower = covered("TC(9)")._lower
+    assert sum(lb > 0 for lb in lower.values()) <= 14305
+
+
+# (name, nu, tau): the verify ladder, then h2(4,3) and h2(7,2)
+WITNESS_LADDER = (
+    ("g1", 2, 6),
+    ("h1(3,2)", 2, 6),
+    ("h1(3,4)", 4, 10),
+    ("h2(4,2)", 2, 8),
+    ("h2(4,4)", 4, 14),
+    ("h1(5,2)", 2, 10),
+    ("h1(5,3)", 3, 14),
+    ("h1(5,4)", 4, 18),
+    ("h2(5,2)", 2, 10),
+    ("h2(5,3)", 3, 14),
+    ("TC(7)", 1, 7),
+    ("TC(9)", 1, 9),
+    ("T(13)", 1, 13),
+    ("h2(4,3)", 3, 11),
+    ("h2(7,2)", 2, 14),
+)
+
+
+def test_ladder_witnesses_are_frozen():
+    rows = []
+    for name, nu, tau in WITNESS_LADDER:
+        v = is_ryser(ladder_instance(name))
+        assert (v.value["nu"], v.value["tau"]) == (nu, tau), name
+        rows.append([nu, tau, list(v.witness["matching"]), list(v.witness["cover"])])
+    digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+    assert digest == "4f4f2e755be3af83f0bccf1d8d1bb36c94b02766dd879ea64e0247419f6b26fb"
 
 
 def test_h2_q7_cover_is_frozen():
