@@ -152,17 +152,8 @@ def _cmd_oracle(args):
         "conic-blockers": classify_conic_blockers,
         "nontrivial": min_nontrivial_blocking,
     }[args.kind]
-    rep = fn(args.q)
-    out = {
-        "q": rep.q,
-        "target": rep.target,
-        "minimum": rep.minimum,
-        "count": rep.count,
-        "blockers": [list(b) for b in rep.blockers],
-        "classes": list(rep.classes),
-        "visited": rep.visited,
-    }
-    print(json.dumps(out, sort_keys=True))
+    # vars, not dataclasses.asdict: that deep-copies each point id (0.37 s at q = 5)
+    print(json.dumps(vars(fn(args.q)), sort_keys=True))
     return 0
 
 

@@ -7,6 +7,7 @@ line i carry the same triple; incidence is the vanishing of the bilinear
 form a0*x0 + a1*x1 + a2*x2.  The form is symmetric, so point j lies on
 line i iff point i lies on line j: the lines through point p are the points
 of line p, and the point sets of the lines are the one incidence table.
+The line through two points is read from it: the one line in both pencils.
 Everything downstream (conics, constructions, file output) refers to these
 ids, so the numbering is part of the contract.
 """
@@ -85,8 +86,7 @@ class ProjectivePlane:
     def point_id(self, triple) -> int:
         return self._id_of[self.normalize(triple)]
 
-    def line_id(self, triple) -> int:
-        return self._id_of[self.normalize(triple)]
+    line_id = point_id  # line i carries point i's triple
 
     def lines_through(self, point_id: int) -> frozenset:
         # duality: line j passes through point p iff point j lies on line p
@@ -102,18 +102,11 @@ def plane_build(q: int) -> ProjectivePlane:
 
 
 def line_through(plane: ProjectivePlane, a: int, b: int) -> PlaneLine:
-    """The unique line through both points."""
+    """The unique line through both points: the one line in both pencils."""
     if a == b:
         raise SamePoint(f"point {a} given twice")
-    f = plane.field
-    x = plane.points[a].coords
-    y = plane.points[b].coords
-    coeffs = (
-        f.sub(f.mul(x[1], y[2]), f.mul(x[2], y[1])),
-        f.sub(f.mul(x[2], y[0]), f.mul(x[0], y[2])),
-        f.sub(f.mul(x[0], y[1]), f.mul(x[1], y[0])),
-    )
-    return plane.lines[plane.line_id(coeffs)]
+    (lid,) = plane.lines[a].points & plane.lines[b].points
+    return plane.lines[lid]
 
 
 def conic_canonical(plane: ProjectivePlane) -> Conic:

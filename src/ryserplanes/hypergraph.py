@@ -94,11 +94,11 @@ class _ExactSolver:
     node that computes its matching hands it to its children: a child whose
     share of those weights already exceeds its budget is cut without a bound
     pass of its own, and its entry is stored negated, -k, to say that k was
-    inherited and the child's own bound is still to be computed.
+    inherited and the child's own bound is still to be computed.  `tau_le`
+    is the only writer of those bounds; `tau_exact` climbs by calling it.
     """
 
     def __init__(self, h: Hypergraph):
-        self.h = h
         vids = [v.id for v in h.vertices]
         pos = {vid: i for i, vid in enumerate(vids)}
         self.vids = vids
@@ -141,18 +141,15 @@ class _ExactSolver:
         out = []
         avail = self.all_edges
         need = nu
-        floor = 0
         while need:
-            for e in range(floor, self.m):
-                if not (avail >> e) & 1:
-                    continue
+            # avail holds no edge below the last one chosen
+            for e in _bits(avail):
                 rest = avail & ~self.conflict[e]
                 rest &= ~((1 << (e + 1)) - 1)
-                if 1 + self.max_matching(rest) + (nu - need) == nu:
+                if 1 + self.max_matching(rest) == need:
                     out.append(e)
                     avail = rest
                     need -= 1
-                    floor = e + 1
                     break
             else:
                 raise AssertionError("matching reconstruction failed")
@@ -218,21 +215,6 @@ class _ExactSolver:
                 total += g.bit_count() * (L // d)
             seen |= by_deg[d]
         return L, groups, total
-
-    def _degree_lb(self, U: int) -> int:
-        L, _, total = self._fractional(U)
-        return -(-total // L)
-
-    def _lb(self, U: int) -> int:
-        """Memoised fractional-matching bound on tau(U); a failed `tau_le` raises it.
-
-        A negative entry -k is a bound inherited from a parent, and U's own
-        bound, which is at least k, is computed in its place.
-        """
-        lb = self._lower.get(U)
-        if lb is None or lb < 0:
-            lb = self._lower[U] = self._degree_lb(U)
-        return lb
 
     def tau_le(self, U: int, b: int) -> bool:
         """Is there a vertex set of size <= b meeting every edge of U?"""
@@ -303,12 +285,15 @@ class _ExactSolver:
         return False
 
     def tau_exact(self, U: int) -> int:
+        """Exact tau(U), climbing through `tau_le`, the one writer of `_lower`."""
         got = self._exact.get(U)
         if got is not None:
             return got
-        d = self._lb(U)
+        # a failed tau_le always leaves U a bound: its own, b + 1, or an
+        # inherited -k
+        d = 1
         while not self.tau_le(U, d):
-            d += 1
+            d = max(d + 1, abs(self._lower[U]))
         self._exact[U] = d
         return d
 

@@ -1,5 +1,6 @@
 """Round-trip storage and command-line exit-code contract."""
 
+import hashlib
 import json
 
 import pytest
@@ -202,6 +203,20 @@ def test_cli_oracle(capsys):
 
     assert main(["oracle", "conic-blockers", "--q", "4"]) == 1
     assert "error: NotOddPrime" in capsys.readouterr().err
+
+
+# sha256 of the oracle command's stdout: the JSON line, key order and all
+ORACLE_STDOUT = {
+    ("nontrivial", "4"): "aece4cfb9fc83219d39586cb5fce7b9d74dc1aa4fc97b844afcb41dd1cc76a56",
+    ("conic-blockers", "5"): "3904a8f2a24aff3a3cf24165a90bffd135efa012d8613fca48c3bb3b3574f63e",
+}
+
+
+@pytest.mark.parametrize("kind,q", sorted(ORACLE_STDOUT))
+def test_cli_oracle_output_is_frozen(capsys, kind, q):
+    assert main(["oracle", kind, "--q", q]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == ORACLE_STDOUT[kind, q]
 
 
 def test_cli_embed(tmp_path, capsys):

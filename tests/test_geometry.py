@@ -60,7 +60,7 @@ def test_incidence_is_frozen(q):
     assert hashlib.sha256(repr(incidence).encode()).hexdigest() == FROZEN_INCIDENCE[q]
 
 
-@pytest.mark.parametrize("q", [3, 4, 5])
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
 def test_two_points_span_unique_line(q):
     plane = plane_build(q)
     for a, b in combinations(range(len(plane.points)), 2):

@@ -1,10 +1,12 @@
 """Solver behavior on hand-checkable instances plus randomized
 cross-validation against plain exhaustive search."""
 
+import gc
 import hashlib
 import json
 import random
 import re
+import weakref
 from functools import cache
 from itertools import combinations
 
@@ -323,6 +325,12 @@ def brute_tau_subsets(h, edge_ids):
                 return k
 
 
+def own_bound(s, U):
+    # U's own fractional-matching bound, ceil(sum y_e), from the solver's groups
+    L, _, total = s._fractional(U)
+    return -(-total // L)
+
+
 def test_fractional_bound_is_sound_and_dominates_degree_bound():
     rng = random.Random(2718)
     gains = 0
@@ -337,7 +345,7 @@ def test_fractional_bound_is_sound_and_dominates_degree_bound():
                 for v in h.edges[i]:
                     deg[v] = deg.get(v, 0) + 1
             degree_bound = -(-len(ids) // max(deg.values()))
-            lb = s._degree_lb(sum(1 << i for i in ids))
+            lb = own_bound(s, sum(1 << i for i in ids))
             assert degree_bound <= lb <= brute_tau_subsets(h, ids), (h.edges, ids)
             gains += lb > degree_bound
     # the sample must hold families where the two bounds differ
@@ -350,7 +358,7 @@ def test_fractional_bound_beats_degree_bound_on_h2_q7():
     U = s.all_edges
     maxdeg = max((inc & U).bit_count() for inc in s.vert_edges)
     assert -(-U.bit_count() // maxdeg) == 10
-    assert s._degree_lb(U) == 11
+    assert own_bound(s, U) == 11
 
 
 def test_inherited_bounds_are_sound():
@@ -371,14 +379,29 @@ def test_inherited_bounds_are_sound():
             ids = [i for i in range(m) if U >> i & 1]
             assert abs(lb) <= brute_tau_subsets(h, ids), (h.edges, ids)
             if lb < 0:
-                assert -lb <= s._degree_lb(U), (h.edges, ids)
-                negative.append(U)
-        # asked for its bound, a node cut by inheritance computes its own
-        for U in negative:
-            assert s._lb(U) == s._lower[U] == s._degree_lb(U)
+                assert -lb <= own_bound(s, U), (h.edges, ids)
+                negative.append((U, -lb))
+        # asked again at the inherited k, a cut node computes its own bound
+        for U, k in negative:
+            s.tau_le(U, k)
+            assert s._lower[U] > 0 and s._lower[U] >= own_bound(s, U)
         inherited += len(negative)
     # the sample must hold inherited entries
     assert inherited >= 5
+
+
+def test_solver_is_freed_without_the_garbage_collector():
+    # the solver holds no reference back to its hypergraph, so dropping the
+    # hypergraph frees the solver and its memos by reference counting
+    gc.disable()
+    try:
+        h, _ = build_h1(3, 2)
+        cover_number(h)
+        solver = weakref.ref(h.solver())
+        del h
+        assert solver() is None
+    finally:
+        gc.enable()
 
 
 def ladder_instance(name):
