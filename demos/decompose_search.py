@@ -27,8 +27,7 @@ print("  second kernel edges", res.pair.second.edge_ids)
 # the nu=2 construction is genuinely one piece
 h, _ = build_h1(3, 2)
 res = find_disjoint_ryser_pair(h)
-print("\nh1(3,2):", res.outcome,
-      f"({res.enumeration.visited} search nodes, search {res.enumeration.status})")
+print("\nh1(3,2):", res.outcome, f"({res.visited} search nodes)")
 
 # the nu=3 construction is not: a third glued plane leaves enough room
 # for two kernels that avoid each other

@@ -135,7 +135,7 @@ def _cmd_decompose(args):
     res = find_disjoint_ryser_pair(h, cap=args.cap)
     out = {
         "outcome": res.outcome,
-        "visited": res.enumeration.visited,
+        "visited": res.visited,
         "pair": None if res.pair is None else [
             list(res.pair.first.edge_ids), list(res.pair.second.edge_ids)
         ],

@@ -15,6 +15,7 @@ half of a pair, and a completed walk certifies a negative answer.
 """
 
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Optional
 
 from .errors import SearchTooLarge
@@ -38,8 +39,8 @@ class WitnessPair:
 
 @dataclass(frozen=True)
 class KernelEnumeration:
-    kernels: tuple  # the kernels found; for the pair search, the pair
-    status: str  # exhausted (the walk ran to its end) | cap_hit
+    kernels: tuple  # the kernels found, in the walk's order
+    status: str  # exhausted (the cap was not hit, even with `first`) | cap_hit
     visited: int
 
 
@@ -47,7 +48,7 @@ class KernelEnumeration:
 class PairSearchResult:
     outcome: str  # some | none | inconclusive
     pair: Optional[WitnessPair]
-    enumeration: KernelEnumeration
+    visited: int  # walk and partner-search nodes together
     certificate: Certificate
 
 
@@ -101,7 +102,7 @@ def _reaching_cliques(s, r, allowed, budget, keep=None):
 
 
 def _kernel(s, r, mask) -> RyserKernel:
-    support = frozenset(s.vids[p] for p in _bits(s.support(mask)))
+    support = frozenset(s.vids[p] for e in _bits(mask) for p in s.edge_verts[e])
     # minimal: any mask - {e} has tau <= r - 2, so tau(mask) = r - 1
     return RyserKernel(tuple(_bits(mask)), support, r - 1)
 
@@ -162,61 +163,49 @@ def find_disjoint_ryser_pair(h: Hypergraph, cap: int = DEFAULT_CAP) -> PairSearc
             partners[avoid] = enum.kernels[0] if enum.kernels else None
         return partners[avoid]
 
-    status = "exhausted"
+    outcome = "none"
     try:
         sub = next(_reaching_cliques(s, h.r, s.all_edges, budget, keep=partner), None)
     except _CapHit:
-        status, sub = "cap_hit", None
-    if sub is not None:
-        second = partner(sub)
-        for f in _bits(sub):
-            if not s.tau_le(sub & ~(1 << f), threshold):
-                sub &= ~(1 << f)
-        pair = WitnessPair(_kernel(s, h.r, sub), second)
-        enum = KernelEnumeration((pair.first, pair.second), status, budget.spent)
+        outcome, sub = "inconclusive", None
+    if sub is None:
         cert = Certificate(
-            kind="disjoint_pair",
-            value={
-                "r": h.r,
-                "tau_first": pair.first.tau,
-                "tau_second": pair.second.tau,
-            },
-            witness=(pair.first.edge_ids, pair.second.edge_ids),
-            exhaustive=True,  # the pair itself is the certificate
+            kind="no_disjoint_pair",
+            value={"r": h.r, "visited": budget.spent},
+            witness=None,
+            exhaustive=outcome == "none",
         )
-        return PairSearchResult("some", pair, enum, cert)
-    enum = KernelEnumeration((), status, budget.spent)
-    outcome = "none" if status == "exhausted" else "inconclusive"
+        return PairSearchResult(outcome, None, budget.spent, cert)
+    second = partner(sub)
+    for f in _bits(sub):
+        if not s.tau_le(sub & ~(1 << f), threshold):
+            sub &= ~(1 << f)
+    pair = WitnessPair(_kernel(s, h.r, sub), second)
     cert = Certificate(
-        kind="no_disjoint_pair",
-        value={"r": h.r, "visited": budget.spent},
-        witness=None,
-        exhaustive=status == "exhausted",
+        kind="disjoint_pair",
+        value={"r": h.r, "tau_first": pair.first.tau, "tau_second": pair.second.tau},
+        witness=(pair.first.edge_ids, pair.second.edge_ids),
+        exhaustive=True,  # the pair itself is the certificate
     )
-    return PairSearchResult(outcome, None, enum, cert)
+    return PairSearchResult("some", pair, budget.spent, cert)
 
 
 def brute_force_disjoint_pair(h: Hypergraph) -> bool:
-    """Reference answer over all pairs of edge subsets; tiny inputs only."""
+    """Reference answer over all pairs of edge subsets, checked on plain
+    vertex sets and not by the solvers; tiny inputs only."""
     m = len(h.edges)
     if m > 10:
         raise SearchTooLarge(f"{m} edges is past the brute-force budget")
-    s = h.solver()
-    pairwise = []
-    for mask in range(1, 1 << m):
-        ids = list(_bits(mask))
-        ok = all(
-            s.edge_masks[a] & s.edge_masks[b]
-            for i, a in enumerate(ids)
-            for b in ids[i + 1 :]
-        )
-        if ok and not s.tau_le(mask, h.r - 2):
-            sup = 0
-            for e in ids:
-                sup |= s.edge_masks[e]
-            pairwise.append(sup)
-    return any(
-        pairwise[i] & pairwise[j] == 0
-        for i in range(len(pairwise))
-        for j in range(i + 1, len(pairwise))
-    )
+    edges = [set(e) for e in h.edges]
+    supports = []
+    for size in range(1, m + 1):
+        for family in combinations(edges, size):
+            if not all(a & b for a, b in combinations(family, 2)):
+                continue
+            support = set().union(*family)
+            # tau >= r - 1: no r - 2 vertices of the support meet every edge
+            k = max(0, min(h.r - 2, len(support)))
+            if not any(all(e & set(c) for e in family)
+                       for c in combinations(sorted(support), k)):
+                supports.append(support)
+    return any(not a & b for a, b in combinations(supports, 2))

@@ -58,17 +58,11 @@ class Hypergraph:
     """Immutable vertex/edge data; solver state is built lazily and cached."""
 
     def __init__(self, r: int, vertices, edges):
-        vs = [v if isinstance(v, Vertex) else Vertex(*v) for v in vertices]
-        vs.sort(key=lambda v: v.id)
+        vs = sorted(vertices, key=lambda v: v.id)
         self.r = r
         self.vertices = tuple(vs)
         self.edges = tuple(tuple(sorted(e)) for e in edges)
         self._by_id = {v.id: v for v in vs}
-        sides = [[] for _ in range(r)]
-        for v in vs:
-            if 0 <= v.side < r:
-                sides[v.side].append(v.id)
-        self.sides = tuple(tuple(s) for s in sides)
         self._solver: Optional[_ExactSolver] = None
 
     def vertex(self, vid: int) -> Vertex:
@@ -102,18 +96,16 @@ class _ExactSolver:
         vids = [v.id for v in h.vertices]
         pos = {vid: i for i, vid in enumerate(vids)}
         self.vids = vids
-        self.m = len(h.edges)
-        self.all_edges = (1 << self.m) - 1
+        self.all_edges = (1 << len(h.edges)) - 1
         self.edge_verts = [tuple(pos[v] for v in e) for e in h.edges]
-        self.edge_masks = [_mask(ev) for ev in self.edge_verts]
         self.vert_edges = [0] * len(vids)
         for ei, ev in enumerate(self.edge_verts):
             for p in ev:
                 self.vert_edges[p] |= 1 << ei
         self.conflict = []
-        for ei in range(self.m):
+        for ev in self.edge_verts:
             c = 0
-            for p in self.edge_verts[ei]:
+            for p in ev:
                 c |= self.vert_edges[p]
             self.conflict.append(c)
         self._match_memo = {0: 0}
@@ -157,24 +149,16 @@ class _ExactSolver:
 
     # ---- cover ----
 
-    def support(self, U: int) -> int:
-        """Mask of the vertex positions met by the edges of U."""
-        sm = 0
-        for ei in _bits(U):
-            sm |= self.edge_masks[ei]
-        return sm
-
     def greedy_cover_le(self, U: int, b: int) -> bool:
         """Upper-bound witness: True means tau(U) <= b for sure.
 
-        Repeatedly picks a highest-degree vertex; failure proves nothing.
+        Repeatedly picks a highest-degree vertex, the lowest position on a
+        tie; failure proves nothing.
         """
         for _ in range(b):
             if U == 0:
                 return True
-            pick = max(_bits(self.support(U)),
-                       key=lambda p: (self.vert_edges[p] & U).bit_count())
-            U &= ~self.vert_edges[pick]
+            U &= ~max(self.vert_edges, key=lambda inc: (inc & U).bit_count())
         return U == 0
 
     def components(self, U: int) -> list:
@@ -326,11 +310,14 @@ def validate_partite(h: Hypergraph) -> ValidationReport:
     """Check the r-partite invariants; violations are reported, not raised."""
     violations = []
     seen_ids = {}
+    side_sizes = [0] * h.r
     for v in h.vertices:
         if v.id in seen_ids:
             violations.append({"code": "duplicate_vertex_id", "vertex": v.id})
         seen_ids[v.id] = v
-        if not 0 <= v.side < h.r:
+        if 0 <= v.side < h.r:
+            side_sizes[v.side] += 1
+        else:
             violations.append({"code": "side_out_of_range", "vertex": v.id, "side": v.side})
     seen_edges = {}
     for ei, e in enumerate(h.edges):
@@ -360,7 +347,7 @@ def validate_partite(h: Hypergraph) -> ValidationReport:
     return ValidationReport(
         ok=not violations,
         r=h.r,
-        side_sizes=tuple(len(s) for s in h.sides),
+        side_sizes=tuple(side_sizes),
         violations=tuple(violations),
     )
 

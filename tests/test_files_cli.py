@@ -219,6 +219,33 @@ def test_cli_oracle_output_is_frozen(capsys, kind, q):
     assert hashlib.sha256(out.encode()).hexdigest() == ORACLE_STDOUT[kind, q]
 
 
+# sha256 of decompose's stdout and of its certificate file, one case per
+# exit code: no pair (0), a pair (2) and a cap hit (3)
+DECOMPOSE_BYTES = {
+    "h1(3,2)": (0, "b21bd7d486c6d9a431cab6348bcb1e0117800329cc6c879e7a8d874091c71a30",
+                "d95bccbd91d852766af40c6b828a88246027384adb80aa0bd8b8eea72bcedb5c"),
+    "TC(3)+TC(3)": (2, "5479640432bb30b96af5c491a1093e96ab0f1e02f5f7282ac8dcd0f733a0ab8e",
+                    "82be2fb426081531f4556a58b6a9b4cd22e115d13e21cfafcd7b100aa4b9848e"),
+    "h1(3,2) --cap 50": (3, "182b463d2cc72056a64031d5f13cff3f8df9ac3e054d684e547870f15f4e9896",
+                         "202bf9ef9a161ce357e860c312fd4d952b9d661f40d32f42d99e787205b28d15"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DECOMPOSE_BYTES))
+def test_cli_decompose_output_is_frozen(tmp_path, capsys, case):
+    if case.startswith("TC"):
+        h = disjoint_union(conic_truncated(3), conic_truncated(3))
+    else:
+        h = build_h1(3, 2)[0]
+    path, cert = tmp_path / "in.json", tmp_path / "cert.json"
+    save_hypergraph(path, h)
+    extra = ["--cap", "50"] if case.endswith("--cap 50") else []
+    code, stdout_sha, cert_sha = DECOMPOSE_BYTES[case]
+    assert _run(tmp_path, "decompose", "--in", path, "--cert", cert, *extra) == code
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == stdout_sha
+    assert hashlib.sha256(cert.read_bytes()).hexdigest() == cert_sha
+
+
 def test_cli_embed(tmp_path, capsys):
     small = tmp_path / "g1.json"
     big = tmp_path / "h1.json"

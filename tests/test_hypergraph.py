@@ -105,8 +105,9 @@ def test_validation_catches_duplicate_vertex_id():
 
 def test_validation_catches_side_out_of_range():
     h = Hypergraph(2, [Vertex(0, "a", 0), Vertex(1, "b", 5)], [])
-    codes = [v["code"] for v in validate_partite(h).violations]
-    assert "side_out_of_range" in codes
+    rep = validate_partite(h)
+    assert "side_out_of_range" in [v["code"] for v in rep.violations]
+    assert rep.side_sizes == (1, 0)  # the side-5 vertex is not counted
 
 
 def test_validation_catches_bad_edges():
