@@ -57,8 +57,17 @@ def _minimal_blockers(plane, line_ids, budget):
     unblocked; a child clears the lines through its new point, so no node
     rescans the family.  The search branches on the lowest unblocked line;
     inside a branch node the earlier points of that line are forbidden
-    downstream, so each set is built along one canonical path.  Output sets
-    need not be minimal and are filtered.
+    downstream, so each set is built along one canonical path.
+
+    A node one point short of the budget settles its children itself: they
+    are the free points of its lowest unblocked line, and each is counted
+    as a visited node without a call.  If that line is the only one left,
+    every free point of it completes a blocker.  Otherwise one point has to
+    block two unblocked lines, and two lines of a plane meet in exactly one
+    point, so the meet of the two lowest is the only candidate.
+
+    Output sets need not be minimal and are filtered: a set is minimal iff
+    each of its points is alone on some family line.
     """
     pts_of = [sorted(plane.lines[lid].points) for lid in line_ids]
     masks = [_mask(pts) for pts in pts_of]
@@ -67,20 +76,35 @@ def _minimal_blockers(plane, line_ids, budget):
         for p in pts:
             on[p] |= 1 << i
     max_through = max(m.bit_count() for m in on)
-    found = set()
+    found = []  # each set is reached along one path only, so no repeats
     visited = 0
 
     def dfs(chosen, size, forbidden, unblocked):
         nonlocal visited
         visited += 1
         if not unblocked:
-            found.add(chosen)
+            found.append(chosen)
             return
         # each added point blocks at most max_through family lines
         if unblocked.bit_count() > (budget - size) * max_through:
             return
+        low = (unblocked & -unblocked).bit_length() - 1
+        if size + 1 == budget:
+            free = masks[low] & ~forbidden
+            visited += free.bit_count()
+            rest = unblocked & (unblocked - 1)
+            if not rest:
+                for p in _bits(free):
+                    found.append(chosen | 1 << p)
+                return
+            meet = masks[low] & masks[(rest & -rest).bit_length() - 1] & free
+            if meet:
+                p = meet.bit_length() - 1
+                if not unblocked & ~on[p]:
+                    found.append(chosen | meet)
+            return
         fb = forbidden
-        for p in pts_of[(unblocked & -unblocked).bit_length() - 1]:
+        for p in pts_of[low]:
             pb = 1 << p
             if not fb & pb:
                 dfs(chosen | pb, size + 1, fb, unblocked & ~on[p])
@@ -89,13 +113,14 @@ def _minimal_blockers(plane, line_ids, budget):
     dfs(0, 0, 0, (1 << len(masks)) - 1)
     out = []
     for ch in found:
-        private = 0
-        for m in masks:
-            inter = m & ch
-            if inter & (inter - 1) == 0:
-                private |= inter
-        if private == ch:
-            out.append(tuple(_bits(ch)))
+        pts = list(_bits(ch))
+        once = twice = 0
+        for p in pts:
+            twice |= once & on[p]
+            once |= on[p]
+        alone = once & ~twice
+        if all(on[p] & alone for p in pts):
+            out.append(tuple(pts))
     return sorted(out), visited
 
 

@@ -11,6 +11,7 @@ answers but walks a different tree shows up too.
 
 import hashlib
 import json
+import random
 from collections import Counter
 from functools import cache
 
@@ -56,6 +57,13 @@ def report(kind, q):
     return SEARCHES[kind](q)
 
 
+@cache
+def all_lines_search(q, budget):
+    """`_minimal_blockers` over every line, also run once per test session."""
+    plane = plane_build(q)
+    return oracles._minimal_blockers(plane, range(len(plane.lines)), budget)
+
+
 @pytest.mark.parametrize("kind,q,visited,digest", FROZEN, ids=FROZEN_IDS)
 def test_blocker_lists_are_frozen(kind, q, visited, digest):
     rep = report(kind, q)
@@ -79,9 +87,7 @@ def test_search_node_counts_are_frozen(kind, q, visited, digest):
 def test_minimal_blocker_counts_by_budget(q, counts):
     # budgets q+1 .. q+4 over all lines: only the lines, until the budget
     # reaches the smallest nontrivial blocker
-    plane = plane_build(q)
-    line_ids = range(len(plane.lines))
-    found = [len(oracles._minimal_blockers(plane, line_ids, b)[0]) for b in range(q + 1, q + 5)]
+    found = [len(all_lines_search(q, b)[0]) for b in range(q + 1, q + 5)]
     assert found == counts
 
 
@@ -212,3 +218,112 @@ def test_nontrivial_deepening_stops(monkeypatch):
     monkeypatch.setattr(oracles, "_minimal_blockers", only_lines)
     with pytest.raises(RuntimeError, match="deepening ran past every known bound"):
         min_nontrivial_blocking(3)
+
+
+def plain_minimal_blockers(plane, line_ids, budget):
+    """The blocker search with every leaf a call of its own: the reference
+    the last-level shortcut in `_minimal_blockers` must agree with, in its
+    sets and in its node count."""
+    pts_of = [sorted(plane.lines[lid].points) for lid in line_ids]
+    masks = [sum(1 << p for p in pts) for pts in pts_of]
+    on = [0] * len(plane.points)
+    for i, pts in enumerate(pts_of):
+        for p in pts:
+            on[p] |= 1 << i
+    max_through = max(m.bit_count() for m in on)
+    found = set()
+    visited = 0
+
+    def dfs(chosen, size, forbidden, unblocked):
+        nonlocal visited
+        visited += 1
+        if not unblocked:
+            found.add(chosen)
+            return
+        if unblocked.bit_count() > (budget - size) * max_through:
+            return
+        fb = forbidden
+        for p in pts_of[(unblocked & -unblocked).bit_length() - 1]:
+            pb = 1 << p
+            if not fb & pb:
+                dfs(chosen | pb, size + 1, fb, unblocked & ~on[p])
+            fb |= pb
+
+    dfs(0, 0, 0, (1 << len(masks)) - 1)
+    out = []
+    for ch in found:
+        private = 0
+        for m in masks:
+            inter = m & ch
+            if inter & (inter - 1) == 0:
+                private |= inter
+        if private == ch:
+            out.append(tuple(p for p in range(ch.bit_length()) if ch >> p & 1))
+    return sorted(out), visited
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_budget_one_blocks_one_line_with_any_of_its_points(q):
+    # root plus q + 1 leaves, each leaf a singleton blocker
+    plane = plane_build(q)
+    for line in plane.lines:
+        blockers, visited = oracles._minimal_blockers(plane, [line.id], 1)
+        assert blockers == [(p,) for p in sorted(line.points)]
+        assert visited == q + 2
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_budget_one_blocks_two_lines_only_at_their_meet(q):
+    # the root still counts all q + 1 leaves on the lower line, of which
+    # only the meet point blocks the other line too
+    plane = plane_build(q)
+    for a, b in [(0, j) for j in range(1, len(plane.lines))] + [(5, 1), (6, 2)]:
+        (meet,) = plane.lines[a].points & plane.lines[b].points
+        blockers, visited = oracles._minimal_blockers(plane, [a, b], 1)
+        assert blockers == [(meet,)]
+        assert visited == q + 2
+
+
+def equality_cases():
+    for q in (2, 3, 4, 5):
+        for budget in range(q + 1, q + 4):
+            yield f"all-lines-{q}-{budget}", q, "all", budget
+    for q in (3, 5):
+        yield f"tangent-secant-{q}", q, "tangent_secant", q + 1
+    for q in (3, 4):
+        for seed in range(20):
+            yield f"random-{q}-{seed}", q, seed, None
+
+
+@pytest.mark.parametrize(
+    "q,family,budget",
+    [case[1:] for case in equality_cases()],
+    ids=[case[0] for case in equality_cases()],
+)
+def test_last_level_matches_the_plain_recursion(q, family, budget):
+    plane = plane_build(q)
+    if family == "all":
+        line_ids = range(len(plane.lines))
+        assert all_lines_search(q, budget) == plain_minimal_blockers(plane, line_ids, budget)
+        return
+    if family == "tangent_secant":
+        conic = conic_canonical(plane)
+        line_ids = [
+            l.id for l in plane.lines
+            if classify_line(conic, l) in ("tangent", "secant")
+        ]
+    else:
+        # at most budget * q lines, so that most draws get past the root's bound
+        rng = random.Random(1000 * q + family)
+        budget = rng.randrange(1, q + 3)
+        n = len(plane.lines)
+        line_ids = rng.sample(range(n), rng.randrange(1, min(n, budget * q) + 1))
+    assert oracles._minimal_blockers(plane, line_ids, budget) == plain_minimal_blockers(
+        plane, line_ids, budget
+    )
+
+
+def test_nontrivial_q5_nodes_per_budget():
+    # the deepening's three passes at q = 5; together the frozen 1,097,635
+    visited = [all_lines_search(5, b)[1] for b in (7, 8, 9)]
+    assert visited == [54124, 254273, 789238]
