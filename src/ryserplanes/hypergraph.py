@@ -90,6 +90,13 @@ class _ExactSolver:
     pass of its own, and its entry is stored negated, -k, to say that k was
     inherited and the child's own bound is still to be computed.  `tau_le`
     is the only writer of those bounds; `tau_exact` climbs by calling it.
+
+    The cover search scans for its branch edge in one static order, made
+    once: most conflicting edges first (`conflict[e]`, the edges meeting e),
+    ties by index.  So the most constrained edges are tried first whatever
+    the numbering (fail-first), at no cost per node.  In T(q) and TC(q)
+    every edge has as many conflicts, so the order is the index order and
+    their search trees are those of an index-order scan.
     """
 
     def __init__(self, h: Hypergraph):
@@ -108,6 +115,8 @@ class _ExactSolver:
             for p in ev:
                 c |= self.vert_edges[p]
             self.conflict.append(c)
+        # the cover search's branch scan order; the sort is stable
+        self.order = sorted(range(len(h.edges)), key=lambda ei: -self.conflict[ei].bit_count())
         self._match_memo = {0: 0}
         self._exact = {0: 0}
         self._lower = {}
@@ -227,10 +236,13 @@ class _ExactSolver:
             self._exact[U] = total
             return total <= b
         # branch on the edge with the fewest distinct vertex roles; the scan
-        # is capped, any uncovered edge being a complete branch set anyway
+        # walks U in the static order (most conflicts first, ties by index)
+        # and is capped, any uncovered edge being a complete branch set anyway
         best_roles = None
         scanned = 0
-        for ei in _bits(U):
+        for ei in self.order:
+            if not U >> ei & 1:
+                continue
             roles = {}
             for p in self.edge_verts[ei]:
                 inc = self.vert_edges[p] & U

@@ -189,7 +189,7 @@ def test_pair_search_memo_does_not_grow():
     # larger tree would raise
     h = build_h2(4, 2)[0]
     assert find_disjoint_ryser_pair(h).outcome == "none"
-    assert len(h.solver()._lower) <= 3096
+    assert len(h.solver()._lower) <= 2666
 
 
 def test_cap_reports_inconclusive():
