@@ -97,6 +97,16 @@ class _ExactSolver:
     the numbering (fail-first), at no cost per node.  In T(q) and TC(q)
     every edge has as many conflicts, so the order is the index order and
     their search trees are those of an index-order scan.
+
+    The whole-family climb of `tau_exact` also branches by orbits (Ostrowski
+    et al., Orbital branching, 2011).  A node may be given automorphisms
+    that each map its family U onto itself.  Such a map g sends the child
+    U - inc(p) onto the child U - inc(g(p)), so both have the same tau, and
+    once one child fails no image of it is searched.  A child gets the maps
+    that fix p, which fix it in turn.  The maps are found once per solver,
+    by `_automorphisms`, and only when the root's first child has failed
+    with a refutation of at least as many `_lower` entries as there are
+    vertices: small trees, and the pair search's calls, never pay for it.
     """
 
     def __init__(self, h: Hypergraph):
@@ -105,6 +115,8 @@ class _ExactSolver:
         self.vids = vids
         self.all_edges = (1 << len(h.edges)) - 1
         self.edge_verts = [tuple(pos[v] for v in e) for e in h.edges]
+        if not all(self.edge_verts):
+            raise ValueError("an edge with no vertices has no cover")
         self.vert_edges = [0] * len(vids)
         for ei, ev in enumerate(self.edge_verts):
             for p in ev:
@@ -120,6 +132,7 @@ class _ExactSolver:
         self._match_memo = {0: 0}
         self._exact = {0: 0}
         self._lower = {}
+        self._autos = None  # automorphisms, found at most once (`automorphisms`)
 
     # ---- matching ----
 
@@ -209,8 +222,13 @@ class _ExactSolver:
             seen |= by_deg[d]
         return L, groups, total
 
-    def tau_le(self, U: int, b: int) -> bool:
-        """Is there a vertex set of size <= b meeting every edge of U?"""
+    def tau_le(self, U: int, b: int, autos=None) -> bool:
+        """Is there a vertex set of size <= b meeting every edge of U?
+
+        `autos`, when given, lists automorphisms (vertex position maps)
+        that each map U onto itself; an empty list marks the whole-family
+        root of `tau_exact`'s climb before discovery has run.
+        """
         if U == 0:
             return True
         exact = self._exact.get(U)
@@ -264,21 +282,42 @@ class _ExactSolver:
             if any(inc & ~inc2 == 0 for inc2, _ in kept):
                 continue
             kept.append((inc, p))
+        failed = ()  # roles whose child failed, with their images
+        before = len(lower)
         for inc, p in kept:
+            if inc in failed:
+                continue
             child = U & ~inc
             # U's weights, less those of the edges p covers, still form a
             # fractional matching of the child, whose degrees only fell
+            rest = None
             if groups is not None and child not in lower:
                 rest = total
                 for g, w in groups:
                     rest -= (g & inc).bit_count() * w
-                if rest > (b - 1) * L:
-                    lower[child] = rest // -L
-                    continue
-            if self.tau_le(child, b - 1):
+            if rest is not None and rest > (b - 1) * L:
+                lower[child] = rest // -L
+            elif self.tau_le(child, b - 1, _fixing(autos, p) if autos else None):
                 return True
+            if autos is None:
+                continue
+            if not autos:
+                # the whole-family root before discovery, after its first
+                # child: look only if that refutation proved the tree large
+                if len(lower) - before < len(self.vids):
+                    autos = None
+                    continue
+                autos = self.automorphisms()
+            # each map sends this failed child onto the child of p's image
+            failed = {*failed, *(self.vert_edges[a[p]] & U for a in autos)}
         lower[U] = b + 1
         return False
+
+    def automorphisms(self) -> list:
+        """Automorphisms found by `_automorphisms`, the identity first; cached."""
+        if self._autos is None:
+            self._autos = _automorphisms(self.edge_verts, self.vert_edges)
+        return self._autos
 
     def tau_exact(self, U: int) -> int:
         """Exact tau(U), climbing through `tau_le`, the one writer of `_lower`."""
@@ -287,8 +326,11 @@ class _ExactSolver:
             return got
         # a failed tau_le always leaves U a bound: its own, b + 1, or an
         # inherited -k
+        # only the whole-family climb branches by orbits; [] asks its root
+        # to look for them (see `tau_le`)
+        whole = U == self.all_edges
         d = 1
-        while not self.tau_le(U, d):
+        while not self.tau_le(U, d, (self._autos or []) if whole else None):
             d = max(d + 1, abs(self._lower[U]))
         self._exact[U] = d
         return d
@@ -315,11 +357,135 @@ class _ExactSolver:
         return chosen
 
 
+# ---- symmetry ----
+
+# `_automorphisms` stops closing its maps under composition at this many
+_MAX_AUTOMORPHISMS = 512
+
+
+def _fixing(autos, p):
+    """The listed maps that fix position p, or None if only the identity does."""
+    stab = [a for a in autos if a[p] == p]
+    return stab if len(stab) > 1 else None
+
+
+def _ranks(sigs) -> list:
+    """Each signature's rank among the distinct ones: names free of numbering."""
+    names = {sig: i for i, sig in enumerate(sorted(set(sigs)))}
+    return [names[sig] for sig in sigs]
+
+
+def _refine(colours, edge_verts, vert_edge_ids) -> list:
+    """Split vertex colours by the colours of their edges until stable.
+
+    An edge's colour is the sorted list of its vertices' colours and a
+    vertex's new colour its old one with the sorted list of its edges'
+    colours, each named by rank, so an isomorphism of coloured inputs maps
+    one result onto the other.
+    """
+    cells = len(set(colours))
+    while True:
+        ecol = _ranks([tuple(sorted(map(colours.__getitem__, ev))) for ev in edge_verts])
+        colours = _ranks([(c, tuple(sorted(map(ecol.__getitem__, es))))
+                          for c, es in zip(colours, vert_edge_ids)])
+        grown = len(set(colours))
+        if grown == cells:
+            return colours
+        cells = grown
+
+
+def _automorphisms(edge_verts, vert_edges) -> list:
+    """Vertex position maps that send every edge onto an edge, identity first.
+
+    Individualisation-refinement (McKay & Piperno 2014), one descent per
+    candidate: refine, then individualise the first vertex of the smallest
+    non-singleton cell (the lowest colour on a tie) and refine again, down
+    to a discrete leaf.  For each cell on that first path, deepest first,
+    each other vertex not yet in the orbit of the path's vertex starts one
+    descent of its own; matching its leaf to the first leaf colour by colour
+    gives a map, kept only if it sends every edge onto an edge.  The first
+    map that fails ends its cell's candidates.  The kept maps are closed
+    under composition up to `_MAX_AUTOMORPHISMS` maps.  A missed
+    automorphism only costs pruning; each listed map is checked to be one.
+    """
+    n = len(vert_edges)
+    vert_edge_ids = [list(_bits(inc)) for inc in vert_edges]
+    edge_set = {_mask(ev) for ev in edge_verts}
+
+    def individualise(colours, v):
+        colours = [2 * c for c in colours]
+        colours[v] += 1
+        return _refine(colours, edge_verts, vert_edge_ids)
+
+    def target(colours):
+        # the smallest non-singleton cell, lowest colour on a tie; None if discrete
+        cells = {}
+        for p, c in enumerate(colours):
+            cells.setdefault(c, []).append(p)
+        multi = [(len(ps), c) for c, ps in cells.items() if len(ps) > 1]
+        return cells[min(multi)[1]] if multi else None
+
+    def descend(colours, levels):
+        # individualise the first vertex of each target cell, down to a leaf
+        cell = target(colours)
+        while cell is not None:
+            levels.append((colours, cell))
+            colours = individualise(colours, cell[0])
+            cell = target(colours)
+        return colours
+
+    levels = []  # (colours, cell) along the first path
+    first = descend(_refine([0] * n, edge_verts, vert_edge_ids), levels)
+    gens = []
+    for colours, cell in reversed(levels):
+        # every map kept so far came from this cell or a deeper one; a leaf
+        # map keeps the colours its two descents shared, so it fixes the
+        # path's vertices above this cell
+        orbit = _orbit(cell[0], gens)
+        for w in cell[1:]:
+            if w in orbit:
+                continue
+            at = {c: p for p, c in enumerate(descend(individualise(colours, w), []))}
+            g = tuple(at[c] for c in first)
+            if not all(_mask(g[p] for p in ev) in edge_set for ev in edge_verts):
+                break
+            gens.append(g)
+            orbit = _orbit(cell[0], gens)
+    identity = tuple(range(n))
+    group = [identity]
+    seen = {identity}
+    for x in group:  # grows while it is walked: a breadth-first closure
+        for g in gens:
+            y = tuple(g[p] for p in x)
+            if y not in seen and len(group) < _MAX_AUTOMORPHISMS:
+                seen.add(y)
+                group.append(y)
+    return group
+
+
+def _orbit(p, maps) -> set:
+    """The positions that products of the maps send p to."""
+    orbit = {p}
+    todo = [p]
+    while todo:
+        x = todo.pop()
+        for g in maps:
+            if g[x] not in orbit:
+                orbit.add(g[x])
+                todo.append(g[x])
+    return orbit
+
+
 # ---- public operations ----
 
 
 def validate_partite(h: Hypergraph) -> ValidationReport:
     """Check the r-partite invariants; violations are reported, not raised."""
+    if h.r < 2:
+        # (r - 1) nu is no bound below r = 2, and at r = 0 an edge can have
+        # no vertex to cover it
+        violation = {"code": "arity_too_small", "r": h.r}
+        return ValidationReport(ok=False, r=h.r, side_sizes=(), violations=(violation,))
     violations = []
     seen_ids = {}
     side_sizes = [0] * h.r

@@ -181,6 +181,9 @@ def test_pair_search_size_does_not_grow(name, outcome, ceiling):
     res = find_disjoint_ryser_pair(h)
     assert res.outcome == outcome
     assert res.visited <= ceiling
+    # symmetry is for the whole-family cover climb only: the pair search's
+    # own whole-family tau_le never looks for it
+    assert h.solver()._autos is None
 
 
 def test_pair_search_memo_does_not_grow():

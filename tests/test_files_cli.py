@@ -157,6 +157,32 @@ def test_cli_unknown_vertex_is_reported_as_invalid(tmp_path, capsys, command):
     assert err.startswith("invalid: ") and "unknown_vertex" in err
 
 
+def _side0(*ids):
+    return [{"id": i, "label": f"v{i}", "side": 0} for i in ids]
+
+
+# r < 2: an edge with no vertex made verify climb forever, and r = 1 gave a
+# Ryser verdict with no content
+SMALL_ARITY_FILES = {
+    "r0_empty_edge": {"format_version": 1, "r": 0, "vertices": [], "edges": [[]]},
+    "r0_no_edges": {"format_version": 1, "r": 0, "vertices": [], "edges": []},
+    "r1_two_edges": {"format_version": 1, "r": 1, "vertices": _side0(0, 1), "edges": [[0], [1]]},
+    "r_minus_1": {"format_version": 1, "r": -1, "vertices": [], "edges": []},
+}
+
+
+@pytest.mark.parametrize("command", ["verify", "decompose"])
+@pytest.mark.parametrize("name", sorted(SMALL_ARITY_FILES))
+def test_cli_rejects_arity_below_two(tmp_path, capsys, name, command):
+    p = tmp_path / "small.json"
+    p.write_text(json.dumps(SMALL_ARITY_FILES[name]))
+    assert _run(tmp_path, command, "--in", p) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("invalid: ") and captured.err.count("\n") == 1
+    assert "arity_too_small" in captured.err
+
+
 def test_cli_decompose_exit_codes(tmp_path, capsys):
     single = tmp_path / "single.json"
     save_hypergraph(single, conic_truncated(3))

@@ -23,6 +23,8 @@ from ryserplanes.errors import ArityMismatch, UnknownEdge
 from ryserplanes.hypergraph import (
     Hypergraph,
     Vertex,
+    _bits,
+    _ExactSolver,
     cover_is_valid,
     cover_number,
     disjoint_union,
@@ -119,6 +121,22 @@ def test_validation_catches_bad_edges():
     assert "unknown_vertex" in codes
     assert "edge_size" in codes
     assert "side_hit_twice" in codes
+
+
+@pytest.mark.parametrize("r", [1, 0, -1])
+def test_validation_rejects_arity_below_two(r):
+    h = Hypergraph(r, [Vertex(0, "a", 0), Vertex(1, "b", 0)], [(0,), (1,)] if r == 1 else [])
+    rep = validate_partite(h)
+    assert not rep.ok
+    assert rep.violations == ({"code": "arity_too_small", "r": r},)
+
+
+def test_solver_rejects_an_edge_with_no_vertices():
+    # nothing covers an empty edge, so a cover search on it would never end
+    with pytest.raises(ValueError):
+        cover_number(Hypergraph(0, [], [()]))
+    with pytest.raises(ValueError):
+        cover_number(make(2, 2, [(0, 2), ()]))
 
 
 def test_validation_catches_side_missed():
@@ -433,9 +451,9 @@ LOWER_MEMO_CEILINGS = {
     "h1(5,3)": 632,
     "h2(5,3)": 563,
     "h1(5,4)": 1219,
-    "TC(7)": 901,
+    "TC(7)": 457,
     "h2(7,2)": 343,
-    "TC(9)": 24852,
+    "TC(9)": 4890,
 }
 
 
@@ -538,3 +556,144 @@ def test_relabelled_cover_search_stays_small(name, seed):
     assert cert.value["tau"] == built.tau_exact(built.all_edges) == 14
     assert cover_is_valid(h, cert.witness)
     assert len(h.solver()._lower) <= 5000
+
+
+# ---- symmetry ----
+
+
+def symmetric_instance(name, seed=0):
+    if name == "TC(5)+TC(5)":
+        h = disjoint_union(conic_truncated(5), conic_truncated(5))
+    else:
+        h = ladder_instance(name)
+    return relabelled(h, seed) if seed else h
+
+
+def edge_image(h, s, g):
+    """Edge i's image under the position map g, for each i; None if one is no edge."""
+    index = {e: ei for ei, e in enumerate(h.edges)}
+    image = []
+    for e in h.edges:
+        mapped = tuple(sorted(s.vids[g[s.vids.index(v)]] for v in e))
+        if mapped not in index:
+            return None
+        image.append(index[mapped])
+    return image
+
+
+# T(5) is there because some of its leaf maps fail the edge check
+SYMMETRIC = ["TC(3)", "TC(5)", "T(3)", "T(4)", "T(5)", "g1", "h1(3,2)", "TC(5)+TC(5)"]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("name", SYMMETRIC + ["TC(7)", "TC(9)", "h1(5,3)"])
+def test_automorphisms_are_checked_bijections(name, seed):
+    h = symmetric_instance(name, seed)
+    s = h.solver()
+    autos = s.automorphisms()
+    n = len(s.vids)
+    assert autos[0] == tuple(range(n))
+    assert len(set(autos)) == len(autos)
+    for g in autos:
+        assert sorted(g) == list(range(n))
+        image = edge_image(h, s, g)
+        assert image is not None and sorted(image) == list(range(len(h.edges)))
+
+
+@pytest.mark.parametrize("name, order", [("TC(5)", 20), ("TC(7)", 42), ("TC(9)", 144)])
+def test_conic_truncations_have_the_affine_semilinear_group(name, order):
+    # |AGammaL(1, q)| = q (q - 1) e for q = p^e, found from the incidences alone
+    assert len(ladder_instance(name).solver().automorphisms()) == order
+    assert len(relabelled(ladder_instance(name), 1).solver().automorphisms()) == order
+
+
+def brute_tau_by_components(h, ids):
+    """tau of the edges `ids` by exhaustive search, one vertex-connected part at a time."""
+    parts = []
+    for e in (set(h.edges[i]) for i in ids):
+        touching = [p for p in parts if p[0] & e]
+        merged = [e | set().union(*(p[0] for p in touching)), [e]]
+        for p in touching:
+            merged[1] += p[1]
+            parts.remove(p)
+        parts.append(merged)
+    return sum(brute_tau(Hypergraph(h.r, h.vertices, [tuple(e) for e in edges]))
+               for _, edges in parts)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("name", SYMMETRIC)
+def test_orbital_search_agrees_with_plain_search_and_brute_force(name, seed):
+    h = symmetric_instance(name, seed)
+    s = h.solver()
+    autos = s.automorphisms()
+    images = [edge_image(h, s, g) for g in autos]
+    full = s.all_edges
+    for U in (full, full & ~s.vert_edges[0], full & ~1, full & ~0b110):
+        ids = [ei for ei in range(len(h.edges)) if U >> ei & 1]
+        # every listed map is taken to fix the whole family; for the others
+        # the test keeps those it finds sending U onto itself
+        fixing = autos if U == full else [
+            g for g, img in zip(autos, images) if img and {img[ei] for ei in ids} == set(ids)
+        ]
+        tau = brute_tau_by_components(h, ids)
+        for b in range(tau + 2):
+            plain = Hypergraph(h.r, h.vertices, h.edges).solver()
+            orbital = Hypergraph(h.r, h.vertices, h.edges).solver()
+            want = b >= tau
+            assert plain.tau_le(U, b) == want, (U, b)
+            assert orbital.tau_le(U, b, fixing) == want, (U, b)
+    # the whole-family climb with the list from the start: the same witness
+    plain = cover_number(Hypergraph(h.r, h.vertices, h.edges))
+    forced = Hypergraph(h.r, h.vertices, h.edges)
+    forced.solver()._autos = autos
+    assert cover_number(forced) == plain
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("name", SYMMETRIC + ["TC(7)", "TC(9)"])
+def test_every_search_node_gets_maps_that_fix_its_family(monkeypatch, name, seed):
+    h = symmetric_instance(name, seed)
+    s = h.solver()
+    images = {g: edge_image(h, s, g) for g in s.automorphisms()}
+    search = _ExactSolver.tau_le
+    checked = []
+
+    def tau_le(self, U, b, autos=None):
+        for g in autos or ():
+            assert all(U >> images[g][ei] & 1 for ei in _bits(U)), (U, g)
+        checked.append(len(autos or ()))
+        return search(self, U, b, autos)
+
+    monkeypatch.setattr(_ExactSolver, "tau_le", tau_le)
+    cover_number(h)
+    # the climb hands lists down below the whole-family root
+    assert max(checked[1:]) > 1
+
+
+# the 13 verify rungs less TC(7) and TC(9), plus three larger instances
+NO_DISCOVERY = ["g1", "h1(3,2)", "h1(3,4)", "h2(4,2)", "h2(4,4)", "h1(5,2)", "h1(5,3)",
+                "h1(5,4)", "h2(5,2)", "h2(5,3)", "T(13)", "T(25)", "h2(11,2)"]
+
+
+@pytest.mark.parametrize("name", NO_DISCOVERY)
+def test_cover_search_looks_for_symmetry_only_on_large_refutations(name):
+    # discovery waits for the whole-family root's first child to fail with
+    # at least as many `_lower` entries as vertices; these never get there
+    assert covered(name)._autos is None
+
+
+@pytest.mark.parametrize("name, order", [("TC(7)", 42), ("TC(9)", 144)])
+def test_cover_search_finds_symmetry_on_the_conic_truncations(name, order):
+    assert len(covered(name)._autos) == order
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_relabelled_tc9_cover_search_stays_small(seed):
+    # `_lower` entries on seeds 1/2/3: 10,437 / 9,485 / 16,683, against
+    # 25 k-40 k without the orbital rule
+    h = relabelled(ladder_instance("TC(9)"), seed)
+    cert = cover_number(h)
+    assert cert.value["tau"] == 9
+    assert cover_is_valid(h, cert.witness)
+    assert len(h.solver()._lower) <= 20000
