@@ -79,26 +79,52 @@ def _reaching_cliques(s, r, allowed, budget, keep=None):
     so that no extension can reach r - 1.  That second cut never drops a
     prefix of a clique that reaches the threshold, so every minimal kernel
     is yielded unless `keep` drops one of its prefixes.
+
+    Each level hands its children two facts that would otherwise be
+    rebuilt at every node.  `touched`, the union of `conflict` over the
+    clique, is the set of edges meeting its support; `keep` is given it in
+    place of the clique.  `covered` and `size` are a cover witness: some
+    set C of at most `size` <= r - 2 vertices meets every edge of
+    `covered`, and `covered` holds the clique.  A child whose new edge is
+    in `covered`, or that can take one vertex of that edge into C, has a
+    cover of r - 2 vertices with no search.  Only otherwise does the walk
+    ask `greedy_cover_le`, whose cover is then carried, and last `tau_le`,
+    whose yes carries the clique itself at size r - 2.  A witness is a
+    cover, so it only skips a `tau_le(clique, r - 2)` whose answer is yes:
+    every cut and every yield still rests on `tau_le`, and the walk, its
+    budget and its `keep` questions are those of a walk that asks `tau_le`
+    every time.
     """
     threshold = r - 2  # tau_le(mask, r - 2) false  <=>  tau >= r - 1
+    conflict, vert_edges, edge_verts = s.conflict, s.vert_edges, s.edge_verts
 
-    def dfs(mask, cand):
+    def dfs(mask, cand, covered, size, touched):
         for e in _bits(cand):
             budget.spend(1)
             sub = mask | (1 << e)
-            rest = cand & s.conflict[e] & ~((1 << (e + 1)) - 1)
-            if keep is not None and not keep(sub):
+            rest = cand & conflict[e] & ~((1 << (e + 1)) - 1)
+            union = touched | conflict[e]
+            if keep is not None and not keep(union):
                 continue
             if s.tau_le(sub | rest, threshold):
                 continue
-            # cheap dismissal first: a greedy cover within threshold settles it
-            if rest and (s.greedy_cover_le(sub, threshold) or s.tau_le(sub, threshold)):
-                yield from dfs(sub, rest)
-            else:
+            if not rest:
                 yield sub
+            elif covered >> e & 1:
+                yield from dfs(sub, rest, covered, size, union)
+            elif size < threshold:
+                # grow C by the vertex of e that meets the most candidates
+                p = max(edge_verts[e], key=lambda p: (vert_edges[p] & rest).bit_count())
+                yield from dfs(sub, rest, covered | vert_edges[p], size + 1, union)
+            else:
+                met = s.greedy_cover_le(sub, threshold)
+                if met or s.tau_le(sub, threshold):
+                    yield from dfs(sub, rest, met or sub, threshold, union)
+                else:
+                    yield sub
 
     if not s.tau_le(allowed, threshold):
-        yield from dfs(0, allowed)
+        yield from dfs(0, allowed, 0, 0, 0)
 
 
 def _kernel(s, r, mask) -> RyserKernel:
@@ -152,10 +178,8 @@ def find_disjoint_ryser_pair(h: Hypergraph, cap: int = DEFAULT_CAP) -> PairSearc
     budget = _Budget(cap)
     partners = {}
 
-    def partner(mask):
-        touched = 0
-        for e in _bits(mask):
-            touched |= s.conflict[e]
+    def partner(touched):
+        # touched: the edges meeting a clique's support (see `_reaching_cliques`)
         avoid = s.all_edges & ~touched
         if avoid not in partners:
             enum = enumerate_kernels(h, budget.cap - budget.spent, within=avoid, first=True)
@@ -176,7 +200,10 @@ def find_disjoint_ryser_pair(h: Hypergraph, cap: int = DEFAULT_CAP) -> PairSearc
             exhaustive=outcome == "none",
         )
         return PairSearchResult(outcome, None, budget.spent, cert)
-    second = partner(sub)
+    touched = 0
+    for e in _bits(sub):
+        touched |= s.conflict[e]
+    second = partner(touched)  # a memo hit: the walk kept sub
     for f in _bits(sub):
         if not s.tau_le(sub & ~(1 << f), threshold):
             sub &= ~(1 << f)

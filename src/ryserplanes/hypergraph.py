@@ -171,17 +171,23 @@ class _ExactSolver:
 
     # ---- cover ----
 
-    def greedy_cover_le(self, U: int, b: int) -> bool:
-        """Upper-bound witness: True means tau(U) <= b for sure.
+    def greedy_cover_le(self, U: int, b: int) -> int:
+        """Upper-bound witness: the edges met by a cover of U of at most b
+        vertices, a mask that holds U, or 0 when the greedy finds none.
 
-        Repeatedly picks a highest-degree vertex, the lowest position on a
-        tie; failure proves nothing.
+        Repeatedly picks a vertex meeting the most edges of U still
+        uncovered, the lowest position on a tie.  0 proves nothing; an empty
+        U, with no edge to meet, gets it too.  The one caller is the pair
+        walk (`decompose._reaching_cliques`), which carries the mask down as
+        its cover witness.
         """
+        met = 0
         for _ in range(b):
-            if U == 0:
-                return True
-            U &= ~max(self.vert_edges, key=lambda inc: (inc & U).bit_count())
-        return U == 0
+            left = U & ~met
+            if not left:
+                break
+            met |= max(self.vert_edges, key=lambda inc: (inc & left).bit_count())
+        return 0 if U & ~met else met
 
     def components(self, U: int) -> list:
         comps = []
@@ -230,7 +236,7 @@ class _ExactSolver:
         root of `tau_exact`'s climb before discovery has run.
         """
         if U == 0:
-            return True
+            return b >= 0
         exact = self._exact.get(U)
         if exact is not None:
             return exact <= b

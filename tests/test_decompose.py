@@ -5,6 +5,9 @@ import pytest
 
 from ryserplanes.constructions import build_h1, build_h2, conic_truncated
 from ryserplanes.decompose import (
+    _Budget,
+    _CapHit,
+    _reaching_cliques,
     brute_force_disjoint_pair,
     enumerate_kernels,
     find_disjoint_ryser_pair,
@@ -13,6 +16,8 @@ from ryserplanes.errors import SearchTooLarge
 from ryserplanes.hypergraph import (
     Hypergraph,
     Vertex,
+    _bits,
+    _ExactSolver,
     disjoint_union,
     restrict,
     tau_subfamily,
@@ -193,6 +198,115 @@ def test_pair_search_memo_does_not_grow():
     h = build_h2(4, 2)[0]
     assert find_disjoint_ryser_pair(h).outcome == "none"
     assert len(h.solver()._lower) <= 2666
+
+
+def test_capped_h1_q5_search_does_not_grow(monkeypatch):
+    # the benchmark's capped h1(5,2) op, in counters that do not depend on
+    # the machine: the walk's nodes are fixed by the cap, so the cost per
+    # node is what can grow, in memo entries or in greedy cover passes (the
+    # carried cover witness settles all but a few nodes without one)
+    calls = []
+    original = _ExactSolver.greedy_cover_le
+
+    def counting(self, U, b):
+        calls.append(U)
+        return original(self, U, b)
+
+    monkeypatch.setattr(_ExactSolver, "greedy_cover_le", counting)
+    h = build_h1(5, 2)[0]
+    res = find_disjoint_ryser_pair(h, cap=10000)
+    assert res.outcome == "inconclusive"
+    assert res.visited == 10001
+    assert len(h.solver()._lower) <= 14393
+    assert len(calls) <= 4
+
+
+def reference_walk(s, r, allowed, budget, keep=None):
+    """`_reaching_cliques` as it reads with no carried facts: every cover
+    question goes to `tau_le`, and `keep` gets the union of `conflict`
+    rebuilt from the clique's edges."""
+    threshold = r - 2
+
+    def dfs(mask, cand):
+        for e in _bits(cand):
+            budget.spend(1)
+            sub = mask | (1 << e)
+            rest = cand & s.conflict[e] & ~((1 << (e + 1)) - 1)
+            touched = 0
+            for f in _bits(sub):
+                touched |= s.conflict[f]
+            if keep is not None and not keep(touched):
+                continue
+            if s.tau_le(sub | rest, threshold):
+                continue
+            if rest and s.tau_le(sub, threshold):
+                yield from dfs(sub, rest)
+            else:
+                yield sub
+
+    if not s.tau_le(allowed, threshold):
+        yield from dfs(0, allowed)
+
+
+def walk_trace(walk, h, cap, with_keep):
+    """What a walk yields, spends and asks `keep` before it ends or hits
+    `cap`; `keep` asks whether the edges avoiding the clique hold a kernel,
+    as the pair search's partner lookup does."""
+    s = h.solver()
+    asked, partners = [], {}
+
+    def keep(touched):
+        asked.append(touched)
+        avoid = s.all_edges & ~touched
+        if avoid not in partners:
+            partners[avoid] = bool(enumerate_kernels(h, within=avoid, first=True).kernels)
+        return partners[avoid]
+
+    budget = _Budget(cap)
+    found = []
+    try:
+        for sub in walk(s, h.r, s.all_edges, budget, keep if with_keep else None):
+            found.append(sub)
+    except _CapHit:
+        pass
+    return found, budget.spent, asked
+
+
+def fixed_arity(rng, r):
+    per_side = 3
+    edges = {
+        tuple(side * per_side + rng.randrange(per_side) for side in range(r))
+        for _ in range(rng.randrange(8, 19))
+    }
+    return make(r, per_side, sorted(edges))
+
+
+WALK_CORPUS = {
+    "h1(3,2)": lambda: build_h1(3, 2)[0],
+    "h1(3,3)": lambda: build_h1(3, 3)[0],
+    "h2(4,2)": lambda: build_h2(4, 2)[0],
+    "TC(5)+TC(5)": lambda: disjoint_union(conic_truncated(5), conic_truncated(5)),
+    **{f"planted-{i}": (lambda i=i: planted_pair(random.Random(1729 + i))) for i in range(5)},
+    # threshold r - 2 of 0 and 1: the carried witness can never grow past it
+    **{f"r2-{i}": (lambda i=i: fixed_arity(random.Random(40 + i), 2)) for i in range(4)},
+    **{f"r3-{i}": (lambda i=i: fixed_arity(random.Random(60 + i), 3)) for i in range(4)},
+}
+
+
+@pytest.mark.parametrize("with_keep", [False, True])
+@pytest.mark.parametrize("name", WALK_CORPUS)
+def test_carried_facts_leave_the_walk_unchanged(name, with_keep):
+    # the cover witness and the conflict union the walk carries only skip
+    # work: it yields the same cliques, spends the same nodes and asks
+    # `keep` about the same unions as the walk that asks `tau_le` each time
+    got = walk_trace(_reaching_cliques, WALK_CORPUS[name](), 10 ** 6, with_keep)
+    want = walk_trace(reference_walk, WALK_CORPUS[name](), 10 ** 6, with_keep)
+    assert got == want
+    assert got[1] < 10 ** 6
+    # and both stop at the same node when the cap cuts them short
+    cap = got[1] // 2
+    assert (walk_trace(_reaching_cliques, WALK_CORPUS[name](), cap, with_keep)
+            == walk_trace(reference_walk, WALK_CORPUS[name](), cap, with_keep))
 
 
 def test_cap_reports_inconclusive():

@@ -282,6 +282,37 @@ def test_tau_subfamily_matches_restricted_cover():
         assert tau_subfamily_at_most(h, ids, len(ids))
 
 
+@pytest.mark.parametrize("b, want", [(-1, False), (0, True), (1, True)])
+def test_empty_subfamily_has_cover_number_zero(b, want):
+    # the empty set covers no edges at all, and no set has negative size
+    h = build_h1(3, 2)[0]
+    assert tau_subfamily(h, []) == 0
+    assert tau_subfamily_at_most(h, [], b) is want
+    assert h.solver().greedy_cover_le(0, b) == 0  # 0 claims nothing
+
+
+def test_greedy_cover_is_a_cover_of_at_most_b_vertices():
+    # a nonzero answer is the set of edges met by at most b vertices, and
+    # holds U; checked by brute force on plain vertex sets
+    rng = random.Random(31)
+    for _ in range(40):
+        h = random_instance(rng)
+        s = h.solver()
+        ids = [v.id for v in h.vertices]
+        for _ in range(5):
+            U = rng.randrange(1, s.all_edges + 1)
+            b = rng.randrange(-1, 4)
+            met = s.greedy_cover_le(U, b)
+            if met:
+                assert U & ~met == 0
+                assert any(
+                    met == sum(1 << i for i, e in enumerate(h.edges) if set(e) & set(pick))
+                    for k in range(b + 1)
+                    for pick in combinations(ids, k)
+                )
+            assert b >= 0 or met == 0
+
+
 @pytest.mark.parametrize("ids", [[999], [0, 1, 999], [4], [-1]])
 def test_subfamily_queries_reject_unknown_edges(ids):
     # the same check as restrict: an id outside the edge list is an error,
