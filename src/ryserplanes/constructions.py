@@ -391,6 +391,8 @@ def find_embedding(small: Hypergraph, big: Hypergraph):
     least side-respecting one; the search is exhaustive and returns None when
     no embedding exists.  Each small edge keeps the solver mask of the big
     edges holding the images so far; a mask reaching 0 rejects a candidate.
+    The search keeps its own stack, one frame per small vertex, so its depth
+    is not bounded by Python's recursion limit.
     """
     if small.r != big.r:
         raise ArityMismatch(f"r={small.r} vs r={big.r}")
@@ -401,13 +403,21 @@ def find_embedding(small: Hypergraph, big: Hypergraph):
     edges_of = [list(_bits(m)) for m in small.solver().vert_edges]
     bside = [v.side for v in big.vertices]
 
-    def dfs(k, masks, side_map, used):
+    # frame k: the next candidate for order[k], then the edge masks, side
+    # map and used mask before order[k] is placed; a frame's image is its
+    # next candidate less one, once a deeper frame sits on it
+    stack = [[0, [s.all_edges] * len(small.edges), {}, 0]]
+    while stack:
+        k = len(stack) - 1
         if k == len(order):
-            return {}
+            return {v.id: s.vids[f[0] - 1] for v, f in zip(order, stack)}
+        frame = stack[-1]
+        start, masks, side_map, used = frame
         v = order[k]
         want = side_map.get(v.side)
         taken = set(side_map.values())
-        for w, bs in enumerate(bside):
+        for w in range(start, len(bside)):
+            bs = bside[w]
             if used >> w & 1 or (bs != want if want is not None else bs in taken):
                 continue
             new_masks = list(masks)
@@ -416,10 +426,10 @@ def find_embedding(small: Hypergraph, big: Hypergraph):
                 if not new_masks[ei]:
                     break
             else:
+                frame[0] = w + 1
                 sides = side_map if want is not None else {**side_map, v.side: bs}
-                found = dfs(k + 1, new_masks, sides, used | 1 << w)
-                if found is not None:
-                    return {v.id: s.vids[w], **found}
-        return None
-
-    return dfs(0, [s.all_edges] * len(small.edges), {}, 0)
+                stack.append([0, new_masks, sides, used | 1 << w])
+                break
+        else:
+            stack.pop()
+    return None

@@ -590,7 +590,9 @@ def cover_is_valid(h: Hypergraph, vertex_ids) -> bool:
 def disjoint_union(a: Hypergraph, b: Hypergraph) -> Hypergraph:
     if a.r != b.r:
         raise ArityMismatch(f"r={a.r} vs r={b.r}")
+    # every id of b lands above a's largest; ids >= 0 shift by max(a) + 1
     offset = max((v.id for v in a.vertices), default=-1) + 1
+    offset -= min(0, min((v.id for v in b.vertices), default=0))
     verts = [Vertex(v.id, "a:" + v.label, v.side) for v in a.vertices]
     verts += [Vertex(v.id + offset, "b:" + v.label, v.side) for v in b.vertices]
     edges = [tuple(e) for e in a.edges]

@@ -34,7 +34,7 @@ class BlockerReport:
     count: int
     blockers: tuple  # ascending point-id tuples, lexicographically sorted
     classes: tuple  # one label per blocker
-    visited: int  # search nodes over every budget the search tried
+    visited: int  # nodes of the report's one search
 
 
 def blocks_all(plane: ProjectivePlane, pts, line_ids) -> bool:
@@ -174,18 +174,26 @@ def _classify(plane, conic, pts) -> str:
     return "other"
 
 
+def _report(q, target, budget, keep) -> BlockerReport:
+    """One pass over every line at the budget; the kept minimal blockers
+    of least size, with their classes."""
+    plane = plane_build(q)
+    blockers, visited = _minimal_blockers(plane, range(len(plane.lines)), budget)
+    kept = [b for b in blockers if keep(plane, b)]
+    if not kept:
+        raise RuntimeError(f"no {target} blocker of at most {budget} points")
+    minimum = min(len(b) for b in kept)
+    at_min = [b for b in kept if len(b) == minimum]
+    conic = conic_canonical(plane)
+    classes = tuple(_classify(plane, conic, b) for b in at_min)
+    return BlockerReport(q, target, minimum, len(at_min), tuple(at_min), classes, visited)
+
+
 def min_blocking_sets(q: int) -> BlockerReport:
     """Minimum blockers of every line; the floor is q+1, reached by lines."""
     if q > 5:
         raise SearchTooLarge(f"all-lines blocker search is capped at q = 5, got {q}")
-    plane = plane_build(q)
-    line_ids = range(len(plane.lines))
-    blockers, visited = _minimal_blockers(plane, line_ids, q + 1)
-    minimum = min(len(b) for b in blockers)
-    at_min = [b for b in blockers if len(b) == minimum]
-    conic = conic_canonical(plane)
-    classes = tuple(_classify(plane, conic, b) for b in at_min)
-    return BlockerReport(q, "all_lines", minimum, len(at_min), tuple(at_min), classes, visited)
+    return _report(q, "all_lines", q + 1, lambda plane, b: True)
 
 
 def classify_conic_blockers(q: int) -> BlockerReport:
@@ -229,25 +237,15 @@ def min_nontrivial_blocking(q: int) -> BlockerReport:
 
     A minimal blocker containing a line is that line (a line alone already
     blocks everything), so the nontrivial ones are exactly the minimal
-    non-line blockers; the budget deepens until one appears.
+    non-line blockers.  One pass at budget floor(3(q+1)/2) holds the
+    minimum: a projective triangle (odd q) or projective triad (even q) is
+    a minimal non-line blocker of that size, and for prime q Blokhuis
+    (1994) proved none is smaller.  Exactness rests on neither fact: the
+    pass lists every minimal blocker of at most the budget, so any non-line
+    one it holds bounds the minimum and every smaller one is listed too.
+    The triangle and triad only promise that the pass holds one, and
+    `_report` checks that at run time.
     """
     if q not in (3, 4, 5):
         raise SearchTooLarge(f"nontrivial blocker search runs for q in 3..5, got {q}")
-    plane = plane_build(q)
-    line_ids = range(len(plane.lines))
-    conic = conic_canonical(plane)
-    budget = q + 2
-    visited = 0
-    while True:
-        blockers, n = _minimal_blockers(plane, line_ids, budget)
-        visited += n
-        nontrivial = [b for b in blockers if not _is_line(plane, b)]
-        if nontrivial:
-            break
-        budget += 1
-        if budget > 3 * (q + 1):
-            raise RuntimeError("deepening ran past every known bound")
-    minimum = min(len(b) for b in nontrivial)
-    at_min = [b for b in nontrivial if len(b) == minimum]
-    classes = tuple(_classify(plane, conic, b) for b in at_min)
-    return BlockerReport(q, "nontrivial", minimum, len(at_min), tuple(at_min), classes, visited)
+    return _report(q, "nontrivial", 3 * (q + 1) // 2, lambda plane, b: not _is_line(plane, b))

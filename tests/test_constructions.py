@@ -305,6 +305,14 @@ def test_self_embedding_is_identity(h1_32):
     assert m == {v.id: v.id for v in h.vertices}
 
 
+def test_self_embedding_of_t32_needs_no_recursion():
+    # one search frame per small vertex: 1,056 of them, past Python's
+    # default recursion limit of 1,000
+    h = truncated_plane(32)
+    assert len(h.vertices) > 1000
+    assert find_embedding(h, h) == {v.id: v.id for v in h.vertices}
+
+
 def test_g1_embeds_into_h1_pinned(h1_32):
     h, _ = h1_32
     g = build_g1()

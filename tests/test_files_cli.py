@@ -233,7 +233,7 @@ def test_cli_oracle(capsys):
 
 # sha256 of the oracle command's stdout: the JSON line, key order and all
 ORACLE_STDOUT = {
-    ("nontrivial", "4"): "aece4cfb9fc83219d39586cb5fce7b9d74dc1aa4fc97b844afcb41dd1cc76a56",
+    ("nontrivial", "4"): "8fa7ebb88e90c48d81e9d2677f7e2f2adbbf4d259f4a285a5d9ecaae1c3fe187",
     ("conic-blockers", "5"): "3904a8f2a24aff3a3cf24165a90bffd135efa012d8613fca48c3bb3b3574f63e",
 }
 
@@ -286,3 +286,14 @@ def test_cli_embed(tmp_path, capsys):
 
     assert _run(tmp_path, "embed", "--small", big, "--big", small) == 1
     assert "no embedding" in capsys.readouterr().err
+
+
+def test_cli_embed_t32_into_itself(tmp_path, capsys):
+    # 1,056 small vertices, deeper than Python's default recursion limit
+    path = tmp_path / "t32.json"
+    _run(tmp_path, "build", "--family", "truncated", "--q", "32", "--out", path)
+    capsys.readouterr()
+    assert _run(tmp_path, "embed", "--small", path, "--big", path) == 0
+    pairs = json.loads(capsys.readouterr().out)["map"]
+    assert len(pairs) == 1056
+    assert all(a == b for a, b in pairs)

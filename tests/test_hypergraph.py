@@ -260,6 +260,24 @@ def test_disjoint_union_offsets_ids_and_labels():
     assert "a:v00" in labels and "b:v00" in labels
 
 
+@pytest.mark.parametrize("a_ids,b_ids", [
+    ((0, 1), (-2, -1)),
+    ((-3, -2), (-2, -1)),
+    ((-3, -2), (0, 1)),
+    ((0, 1), (-1, 5)),
+])
+def test_disjoint_union_keeps_negative_ids_apart(a_ids, b_ids):
+    def pair(ids):
+        return Hypergraph(2, [Vertex(vid, f"v{vid}", side) for side, vid in enumerate(ids)],
+                          [ids])
+
+    u = disjoint_union(pair(a_ids), pair(b_ids))
+    assert validate_partite(u).ok
+    assert len({v.id for v in u.vertices}) == 4
+    assert len(set(u.edges)) == 2
+    assert matching_number(u).value["nu"] == 2
+
+
 def test_disjoint_union_requires_equal_r():
     with pytest.raises(ArityMismatch):
         disjoint_union(make(2, 1, [(0, 1)]), make(3, 1, [(0, 1, 2)]))

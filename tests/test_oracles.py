@@ -34,7 +34,7 @@ SEARCHES = {
     "nontrivial": min_nontrivial_blocking,
 }
 
-# (kind, q, search nodes over every budget tried,
+# (kind, q, nodes of the report's one search,
 #  sha256 of json.dumps([rep.blockers, rep.classes]))
 FROZEN = [
     ("blocking", 2, 26, "3bffabe64fd2e5eeedddcb8344946d17b4140397db2eabaec13802344de401ec"),
@@ -43,9 +43,9 @@ FROZEN = [
     ("blocking", 5, 3763, "0b355838afe14ea9ee72b52573a4969de60f541f4bc5c316167645feaba5467b"),
     ("conic-blockers", 3, 180, "4c0deb5d3b5ee4cdc41fb5d8051f4e076a7a89c9c6b84a458a757849b6d32a04"),
     ("conic-blockers", 5, 18391, "f02bf39b5d28102a289f59699c458488794c42e86bd40d7183fa295c0565d8a3"),
-    ("nontrivial", 3, 1207, "311e5178ad969b30bd17589081cecb7536d7dab459c3df84144d2ea875399f52"),
-    ("nontrivial", 4, 18315, "2115920921d90bf2fc5d85a81b84c7aae20f4d1af96012a4668be94a32821ec2"),
-    ("nontrivial", 5, 1097635, "42c254f52f7e705b2e43e99b84bb995454bf8a0fce9b10bcea1701f9acfeaf2f"),
+    ("nontrivial", 3, 798, "311e5178ad969b30bd17589081cecb7536d7dab459c3df84144d2ea875399f52"),
+    ("nontrivial", 4, 13427, "2115920921d90bf2fc5d85a81b84c7aae20f4d1af96012a4668be94a32821ec2"),
+    ("nontrivial", 5, 789238, "42c254f52f7e705b2e43e99b84bb995454bf8a0fce9b10bcea1701f9acfeaf2f"),
 ]
 
 FROZEN_IDS = [f"{kind}-{q}" for kind, q, _, _ in FROZEN]
@@ -57,11 +57,14 @@ def report(kind, q):
     return SEARCHES[kind](q)
 
 
+minimal_blockers = oracles._minimal_blockers  # unpatched, for the counting test
+
+
 @cache
 def all_lines_search(q, budget):
     """`_minimal_blockers` over every line, also run once per test session."""
     plane = plane_build(q)
-    return oracles._minimal_blockers(plane, range(len(plane.lines)), budget)
+    return minimal_blockers(plane, range(len(plane.lines)), budget)
 
 
 @pytest.mark.parametrize("kind,q,visited,digest", FROZEN, ids=FROZEN_IDS)
@@ -74,6 +77,22 @@ def test_blocker_lists_are_frozen(kind, q, visited, digest):
 @pytest.mark.parametrize("kind,q,visited,digest", FROZEN, ids=FROZEN_IDS)
 def test_search_node_counts_are_frozen(kind, q, visited, digest):
     assert report(kind, q).visited == visited
+
+
+@pytest.mark.parametrize("kind,q,visited,digest", FROZEN, ids=FROZEN_IDS)
+def test_each_report_is_one_search(monkeypatch, kind, q, visited, digest):
+    expected = report(kind, q)
+    budgets = []
+
+    def counted(plane, line_ids, budget):
+        budgets.append(budget)
+        if line_ids == range(len(plane.lines)):
+            return all_lines_search(plane.q, budget)  # the session's copy of the pass
+        return minimal_blockers(plane, line_ids, budget)
+
+    monkeypatch.setattr(oracles, "_minimal_blockers", counted)
+    assert SEARCHES[kind](q) == expected
+    assert len(budgets) == 1
 
 
 @pytest.mark.parametrize(
@@ -209,14 +228,14 @@ def test_nontrivial_budget():
         min_nontrivial_blocking(7)
 
 
-def test_nontrivial_deepening_stops(monkeypatch):
-    # a search that only ever finds lines must end in an error, also under
-    # python -O, where an assert would let the deepening run forever
+def test_nontrivial_pass_of_only_lines_raises(monkeypatch):
+    # a pass that finds only lines must raise, and not by an assert, which
+    # python -O strips
     def only_lines(plane, line_ids, budget):
         return [tuple(sorted(plane.lines[lid].points)) for lid in line_ids], 1
 
     monkeypatch.setattr(oracles, "_minimal_blockers", only_lines)
-    with pytest.raises(RuntimeError, match="deepening ran past every known bound"):
+    with pytest.raises(RuntimeError, match="no nontrivial blocker of at most 6 points"):
         min_nontrivial_blocking(3)
 
 
@@ -324,6 +343,7 @@ def test_last_level_matches_the_plain_recursion(q, family, budget):
 
 
 def test_nontrivial_q5_nodes_per_budget():
-    # the deepening's three passes at q = 5; together the frozen 1,097,635
+    # budget 9 = floor(3 * 6 / 2) is the report's one pass, the frozen
+    # 789,238; budgets 7 and 8 are the passes a deepening search would add
     visited = [all_lines_search(5, b)[1] for b in (7, 8, 9)]
     assert visited == [54124, 254273, 789238]
