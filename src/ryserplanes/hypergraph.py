@@ -81,15 +81,16 @@ class _ExactSolver:
     """Bitmask branch-and-bound for matching and cover numbers.
 
     Edge subfamilies are bitmasks over edge indices; the matching search
-    recurses at most nu + 1 deep.  The cover search memoizes exact values
-    and one lower bound per subfamily, so repeated queries (restrictions,
-    decomposition searches) share all earlier work.  That bound starts as
-    the weight of a fractional matching, which bounds tau* and so tau.  A
-    node that computes its matching hands it to its children: a child whose
-    share of those weights already exceeds its budget is cut without a bound
-    pass of its own, and its entry is stored negated, -k, to say that k was
-    inherited and the child's own bound is still to be computed.  `tau_le`
-    is the only writer of those bounds; `tau_exact` climbs by calling it.
+    keeps its own stack, so no recursion limit bounds nu.  The cover search
+    memoizes exact values and one lower bound per subfamily, so repeated
+    queries (restrictions, decomposition searches) share all earlier work.
+    That bound starts as the weight of a fractional matching, which bounds
+    tau* and so tau.  A node that computes its matching hands it to its
+    children: a child whose share of those weights already exceeds its
+    budget is cut without a bound pass of its own, and its entry is stored
+    negated, -k, to say that k was inherited and the child's own bound is
+    still to be computed.  `tau_le` is the only writer of those bounds;
+    `tau_exact` climbs by calling it.
 
     The cover search scans for its branch edge in one static order, made
     once: most conflicting edges first (`conflict[e]`, the edges meeting e),
@@ -137,17 +138,25 @@ class _ExactSolver:
     # ---- matching ----
 
     def max_matching(self, avail: int) -> int:
+        # an explicit stack of [family, children] frames: a frame builds its
+        # children once, then resolves when it is next on top
         memo = self._match_memo
-        got = memo.get(avail)
-        if got is not None:
-            return got
-        # some edge of a maximum matching meets the lowest edge e (conflict[e] holds e)
-        e = (avail & -avail).bit_length() - 1
-        best = 0
-        for f in _bits(avail & self.conflict[e]):
-            best = max(best, 1 + self.max_matching(avail & ~self.conflict[f]))
-        memo[avail] = best
-        return best
+        stack = [[avail, None]]
+        while stack:
+            frame = stack[-1]
+            a, kids = frame
+            if a in memo:  # resolved since it was pushed
+                stack.pop()
+            elif kids is None:
+                # some edge of a maximum matching meets the lowest edge e
+                # (conflict[e] holds e): one child per such edge f
+                e = (a & -a).bit_length() - 1
+                frame[1] = [a & ~self.conflict[f] for f in _bits(a & self.conflict[e])]
+                stack += [[k, None] for k in frame[1] if k not in memo]
+            else:
+                stack.pop()
+                memo[a] = 1 + max(map(memo.__getitem__, kids))
+        return memo[avail]
 
     def lex_max_matching(self) -> list:
         """Maximum matching whose sorted edge-id sequence is lexicographically least."""
@@ -235,9 +244,7 @@ class _ExactSolver:
         that each map U onto itself; an empty list marks the whole-family
         root of `tau_exact`'s climb before discovery has run.
         """
-        if U == 0:
-            return b >= 0
-        exact = self._exact.get(U)
+        exact = self._exact.get(U)  # U = 0 has its seeded entry, tau 0
         if exact is not None:
             return exact <= b
         if b <= 0:
@@ -492,15 +499,19 @@ def validate_partite(h: Hypergraph) -> ValidationReport:
         # no vertex to cover it
         violation = {"code": "arity_too_small", "r": h.r}
         return ValidationReport(ok=False, r=h.r, side_sizes=(), violations=(violation,))
-    violations = []
+    # with more sides than vertices some side is empty, so no edge meets
+    # every side and each edge of distinct known vertices is short: one
+    # violation stands for those edge sizes, and no table of r sides is built
+    wide = h.r > len(h.vertices)
+    violations = [{"code": "arity_too_large", "r": h.r}] if wide else []
     seen_ids = {}
-    side_sizes = [0] * h.r
+    sizes = {}
     for v in h.vertices:
         if v.id in seen_ids:
             violations.append({"code": "duplicate_vertex_id", "vertex": v.id})
         seen_ids[v.id] = v
         if 0 <= v.side < h.r:
-            side_sizes[v.side] += 1
+            sizes[v.side] = sizes.get(v.side, 0) + 1
         else:
             violations.append({"code": "side_out_of_range", "vertex": v.id, "side": v.side})
     seen_edges = {}
@@ -515,7 +526,7 @@ def validate_partite(h: Hypergraph) -> ValidationReport:
         if unknown:
             violations.append({"code": "unknown_vertex", "edge": ei, "vertices": unknown})
             continue
-        if len(e) != h.r:
+        if len(e) != h.r and not wide:
             violations.append({"code": "edge_size", "edge": ei, "size": len(e)})
         per_side = {}
         for vid in e:
@@ -525,13 +536,14 @@ def validate_partite(h: Hypergraph) -> ValidationReport:
                 violations.append(
                     {"code": "side_hit_twice", "edge": ei, "side": side, "vertices": vids}
                 )
-        missing = [s for s in range(h.r) if s not in per_side]
-        if missing and len(e) == h.r:
-            violations.append({"code": "side_missed", "edge": ei, "sides": missing})
+        if len(e) == h.r:  # so the scan of the sides is as long as the edge
+            missing = [s for s in range(h.r) if s not in per_side]
+            if missing:
+                violations.append({"code": "side_missed", "edge": ei, "sides": missing})
     return ValidationReport(
         ok=not violations,
         r=h.r,
-        side_sizes=tuple(side_sizes),
+        side_sizes=() if wide else tuple(sizes.get(s, 0) for s in range(h.r)),
         violations=tuple(violations),
     )
 

@@ -125,18 +125,8 @@ def _minimal_blockers(plane, line_ids, budget):
 
 
 def _subgroup_size(q: int, n: int, d: int) -> bool:
-    # d must be the order of a non-trivial subgroup: the group of order n is
-    # cyclic for n in {q-1, q+1} and elementary abelian of order q = p^k
-    if d < 2:
-        return False
-    if n == q:
-        p, _ = _prime_power(q)
-        while d % p == 0:
-            d //= p
-        return d == 1
-    if n in (q - 1, q + 1):
-        return n % d == 0
-    return False
+    # a cyclic group of order n = q +/- 1 has a subgroup of order d | n; for n = q see `_classify`
+    return n != q and n % d == 0
 
 
 def _is_line(plane, pts) -> bool:
@@ -155,13 +145,17 @@ def _classify(plane, conic, pts) -> str:
     if len(fs) == q + 1:
         s1 = cset - fs
         s2 = fs - cset
-        if len(s1) == len(s2) == 1:
+        # fs != C and |fs| = |C|, so both sides of the trade have one size d >= 1
+        if len(s1) == 1:
             # a one-point trade is no subgroup swap; it blocks exactly when
             # the added point lies on the tangent at the removed one
             (x,), (y,) = s1, s2
             if classify_line(conic, line_through(plane, x, y)) == "tangent":
                 return "tangent_trade"
-        elif s1 and len(s1) == len(s2):
+        else:
+            # d >= 2 and n = |C - line| is q - 1, q or q + 1.  A tangent (n = q)
+            # gives no swap: at the conic report's prime q the one subgroup
+            # order d >= 2 is q, and trading C - line for line - C gives the line.
             for line in plane.lines:
                 if s2 <= line.points - cset and not s1 & line.points:
                     if _subgroup_size(q, len(cset - line.points), len(s1)):
@@ -174,17 +168,19 @@ def _classify(plane, conic, pts) -> str:
     return "other"
 
 
-def _report(q, target, budget, keep) -> BlockerReport:
-    """One pass over every line at the budget; the kept minimal blockers
-    of least size, with their classes."""
+def _report(q, target, budget, keep, lines=None) -> BlockerReport:
+    """One pass at the budget over the lines whose class against the conic
+    is in `lines` (every line if None); the kept minimal blockers of least
+    size, with their classes."""
     plane = plane_build(q)
-    blockers, visited = _minimal_blockers(plane, range(len(plane.lines)), budget)
+    conic = conic_canonical(plane)
+    fam = [ln.id for ln in plane.lines if lines is None or classify_line(conic, ln) in lines]
+    blockers, visited = _minimal_blockers(plane, fam, budget)
     kept = [b for b in blockers if keep(plane, b)]
     if not kept:
         raise RuntimeError(f"no {target} blocker of at most {budget} points")
     minimum = min(len(b) for b in kept)
     at_min = [b for b in kept if len(b) == minimum]
-    conic = conic_canonical(plane)
     classes = tuple(_classify(plane, conic, b) for b in at_min)
     return BlockerReport(q, target, minimum, len(at_min), tuple(at_min), classes, visited)
 
@@ -205,31 +201,19 @@ def classify_conic_blockers(q: int) -> BlockerReport:
     y != x on the tangent at x.  Every tangent trade blocks, since the
     tangent at x contains y and every other tangent or secant contains a
     conic point other than x; there are (q+1)q of them.
+
+    One pass at budget q + 1 lists every minimal blocker of at most q + 1
+    points, and a (q+1)-point set blocks iff it holds one of them.  None
+    has fewer than q + 1 points (the minimum is read off the search), so
+    the (q+1)-point blockers are exactly the list; a smaller blocker would
+    show as a smaller minimum.
     """
     pk = _prime_power(q)
     if pk is None or pk[1] != 1 or q == 2:
         raise NotOddPrime(f"conic blocker classification needs an odd prime, got {q}")
     if q > 5:
         raise SearchTooLarge(f"conic blocker search is capped at q = 5, got {q}")
-    plane = plane_build(q)
-    conic = conic_canonical(plane)
-    fam = [
-        line.id
-        for line in plane.lines
-        if classify_line(conic, line) in ("tangent", "secant")
-    ]
-    minimal, visited = _minimal_blockers(plane, fam, q + 1)
-    npts = len(plane.points)
-    seen = set()
-    for b in minimal:
-        rest = [p for p in range(npts) if p not in b]
-        for extra in combinations(rest, q + 1 - len(b)):
-            seen.add(tuple(sorted(b + extra)))
-    blockers = sorted(seen)
-    classes = tuple(_classify(plane, conic, b) for b in blockers)
-    return BlockerReport(
-        q, "tangent_secant", q + 1, len(blockers), tuple(blockers), classes, visited
-    )
+    return _report(q, "tangent_secant", q + 1, lambda plane, b: True, ("tangent", "secant"))
 
 
 def min_nontrivial_blocking(q: int) -> BlockerReport:

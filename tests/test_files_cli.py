@@ -183,6 +183,37 @@ def test_cli_rejects_arity_below_two(tmp_path, capsys, name, command):
     assert "arity_too_small" in captured.err
 
 
+@pytest.mark.parametrize("command", ["verify", "decompose"])
+def test_cli_rejects_more_sides_than_vertices(tmp_path, capsys, command):
+    # a per-side table of 10**12 entries would end in a MemoryError
+    p = tmp_path / "wide.json"
+    p.write_text(json.dumps({"format_version": 1, "r": 10**12,
+                             "vertices": [{"id": 0, "label": "a", "side": 0},
+                                          {"id": 1, "label": "b", "side": 1}],
+                             "edges": [[0, 1]]}))
+    assert _run(tmp_path, command, "--in", p) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("invalid: ") and captured.err.count("\n") == 1
+    assert "arity_too_large" in captured.err
+    assert "Traceback" not in captured.err
+
+
+def test_cli_verifies_1200_disjoint_edges(tmp_path, capsys):
+    # nu = 1200: the matching search keeps its own stack
+    m = 1200
+    p = tmp_path / "disjoint.json"
+    p.write_text(json.dumps({"format_version": 1, "r": 2,
+                             "vertices": [{"id": i, "label": f"v{i}", "side": i % 2}
+                                          for i in range(2 * m)],
+                             "edges": [[2 * i, 2 * i + 1] for i in range(m)]}))
+    assert _run(tmp_path, "verify", "--in", p, "--expect-nu", m, "--expect-tau", m) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert json.loads(captured.out) == {"conjecture_holds": True, "is_ryser": True,
+                                        "nu": m, "r": 2, "tau": m}
+
+
 def test_cli_decompose_exit_codes(tmp_path, capsys):
     single = tmp_path / "single.json"
     save_hypergraph(single, conic_truncated(3))

@@ -131,6 +131,17 @@ def test_validation_rejects_arity_below_two(r):
     assert rep.violations == ({"code": "arity_too_small", "r": r},)
 
 
+@pytest.mark.parametrize("r", [3, 10**12])
+def test_validation_rejects_more_sides_than_vertices(r):
+    # some side is empty, so no edge can meet every side; no table of r
+    # sides is built, so r = 10**12 costs no memory
+    h = Hypergraph(r, [Vertex(0, "a", 0), Vertex(1, "b", 1)], [(0, 1)])
+    rep = validate_partite(h)
+    assert not rep.ok
+    assert rep.side_sizes == ()
+    assert rep.violations == ({"code": "arity_too_large", "r": r},)
+
+
 def test_solver_rejects_an_edge_with_no_vertices():
     # nothing covers an empty edge, so a cover search on it would never end
     with pytest.raises(ValueError):
@@ -220,6 +231,34 @@ def test_matching_depth_does_not_grow_with_edges():
     two = matching_number(disjoint_union(h, h))
     assert two.value["nu"] == 2
     assert two.witness == (0, 1100)
+
+
+def disjoint_edges(m):
+    # m pairwise disjoint edges of an r = 2 graph: nu = tau = m
+    verts = [Vertex(i, f"v{i}", i % 2) for i in range(2 * m)]
+    return Hypergraph(2, verts, [(2 * i, 2 * i + 1) for i in range(m)])
+
+
+def path(m):
+    # an r = 2 path, edge i = (i, i + 1); its lex-least maximum matching
+    # takes every other edge from the first
+    verts = [Vertex(i, f"v{i}", i % 2) for i in range(m + 1)]
+    return Hypergraph(2, verts, [(i, i + 1) for i in range(m)])
+
+
+@pytest.mark.parametrize("build, m, nu, memo", [
+    (disjoint_edges, 1200, 1200, 1201),
+    (path, 5000, 2500, 5000),
+])
+def test_matching_needs_no_recursion_as_nu_grows(build, m, nu, memo):
+    # a search that recursed once per matched edge would pass the default
+    # recursion limit on both
+    h = build(m)
+    cert = matching_number(h)
+    assert cert.value["nu"] == nu
+    assert cert.witness == tuple(range(0, m, m // nu))
+    assert matching_is_valid(h, cert.witness)
+    assert len(h.solver()._match_memo) == memo
 
 
 def test_empty_hypergraph():
@@ -516,6 +555,28 @@ def test_inherited_cut_spares_own_bound_passes():
     # search); the rest were cut by a parent's fractional matching
     lower = covered("TC(9)")._lower
     assert sum(lb > 0 for lb in lower.values()) <= 14305
+
+
+# `_match_memo` entries after one matching_number on a fresh build: the
+# families the branching and the witness reconstruction reach, whatever
+# order the search visits them in
+MATCH_MEMO_SIZES = {
+    "g1": 6,
+    "h1(3,4)": 28,
+    "h2(4,4)": 28,
+    "h1(5,3)": 14,
+    "h1(5,4)": 28,
+    "TC(9)": 2,
+    "T(13)": 2,
+    "h2(32,2)": 6,
+}
+
+
+@pytest.mark.parametrize("name", sorted(MATCH_MEMO_SIZES))
+def test_matching_memo_size_is_frozen(name):
+    h = ladder_instance(name)
+    matching_number(h)
+    assert len(h.solver()._match_memo) == MATCH_MEMO_SIZES[name]
 
 
 # (name, nu, tau): the verify ladder, then h2(4,3) and h2(7,2)
