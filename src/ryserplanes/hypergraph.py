@@ -82,8 +82,9 @@ class _ExactSolver:
 
     Edge subfamilies are bitmasks over edge indices; the matching search
     keeps its own stack, so no recursion limit bounds nu.  The cover search
-    memoizes exact values and one lower bound per subfamily, so repeated
-    queries (restrictions, decomposition searches) share all earlier work.
+    memoizes a minimum cover and one lower bound per subfamily, so repeated
+    queries (restrictions, decomposition searches) share all earlier work;
+    tau is the stored cover's size, and `lex_min_cover` starts from it.
     That bound starts as the weight of a fractional matching, which bounds
     tau* and so tau.  A node that computes its matching hands it to its
     children: a child whose share of those weights already exceeds its
@@ -131,8 +132,11 @@ class _ExactSolver:
         # the cover search's branch scan order; the sort is stable
         self.order = sorted(range(len(h.edges)), key=lambda ei: -self.conflict[ei].bit_count())
         self._match_memo = {0: 0}
+        # a minimum cover of each settled subfamily, as a mask of vertex
+        # positions: tau is its size.  The empty family's cover is empty.
         self._exact = {0: 0}
         self._lower = {}
+        self.found = 0  # a cover left by the last `tau_le` that answered yes
         self._autos = None  # automorphisms, found at most once (`automorphisms`)
 
     # ---- matching ----
@@ -240,13 +244,18 @@ class _ExactSolver:
     def tau_le(self, U: int, b: int, autos=None) -> bool:
         """Is there a vertex set of size <= b meeting every edge of U?
 
+        On yes, `found` holds such a set, a mask of vertex positions: the
+        stored cover on an `_exact` hit, the union of the components' stored
+        covers on a split, or the child's cover plus the branch vertex.
+
         `autos`, when given, lists automorphisms (vertex position maps)
         that each map U onto itself; an empty list marks the whole-family
         root of `tau_exact`'s climb before discovery has run.
         """
-        exact = self._exact.get(U)  # U = 0 has its seeded entry, tau 0
+        exact = self._exact.get(U)  # U = 0 has its seeded entry, the empty cover
         if exact is not None:
-            return exact <= b
+            self.found = exact
+            return exact.bit_count() <= b
         if b <= 0:
             return False
         lower = self._lower
@@ -261,11 +270,14 @@ class _ExactSolver:
             return False
         comps = self.components(U)
         if len(comps) > 1:
-            total = 0
+            # components share no vertex and each stored cover lies on its
+            # component's edges, so the union is a minimum cover of U
+            cover = 0
             for c in comps:
-                total += self.tau_exact(c)
-            self._exact[U] = total
-            return total <= b
+                self.tau_exact(c)
+                cover |= self._exact[c]
+            self._exact[U] = self.found = cover
+            return cover.bit_count() <= b
         # branch on the edge with the fewest distinct vertex roles; the scan
         # walks U in the static order (most conflicts first, ties by index)
         # and is capped, any uncovered edge being a complete branch set anyway
@@ -311,6 +323,7 @@ class _ExactSolver:
             if rest is not None and rest > (b - 1) * L:
                 lower[child] = rest // -L
             elif self.tau_le(child, b - 1, _fixing(autos, p) if autos else None):
+                self.found |= 1 << p
                 return True
             if autos is None:
                 continue
@@ -333,10 +346,14 @@ class _ExactSolver:
         return self._autos
 
     def tau_exact(self, U: int) -> int:
-        """Exact tau(U), climbing through `tau_le`, the one writer of `_lower`."""
+        """Exact tau(U), climbing through `tau_le`, the one writer of `_lower`.
+
+        The cover of the climb's last `tau_le`, which answered yes at d after
+        every smaller budget was refuted, is stored as U's minimum cover.
+        """
         got = self._exact.get(U)
         if got is not None:
-            return got
+            return got.bit_count()
         # a failed tau_le always leaves U a bound: its own, b + 1, or an
         # inherited -k
         # only the whole-family climb branches by orbits; [] asks its root
@@ -345,28 +362,39 @@ class _ExactSolver:
         d = 1
         while not self.tau_le(U, d, (self._autos or []) if whole else None):
             d = max(d + 1, abs(self._lower[U]))
-        self._exact[U] = d
+        self._exact[U] = self.found
         return d
 
     def lex_min_cover(self, U: int) -> list:
-        """Minimum cover of U whose sorted vertex-id list is lexicographically least."""
-        tau = self.tau_exact(U)
+        """Minimum cover of U whose sorted vertex-id list is lexicographically least.
+
+        Scans positions upward and takes the first p such that U - inc(p)
+        has a cover of one vertex fewer.  `known`, a minimum cover of what
+        is left (first the one `tau_exact` stored), answers that for its own
+        lowest vertex with no search: known less that vertex is such a
+        cover.  Each p below it is asked of `tau_le`, and a yes makes the
+        cover found, plus p, the new `known`.  So the choices, and every
+        question below them, are those of a scan that asks at every p, and
+        the witness is the same lexicographically least cover.
+        """
+        self.tau_exact(U)
+        known = self._exact[U]
         chosen = []
         floor = 0
-        budget = tau
         while U:
-            for p in range(floor, len(self.vids)):
-                inc = self.vert_edges[p] & U
-                if inc == 0:
-                    continue
-                if self.tau_le(U & ~inc, budget - 1):
-                    chosen.append(self.vids[p])
-                    U &= ~inc
-                    budget -= 1
-                    floor = p + 1
+            # every vertex of known meets U, and none lies below floor: a
+            # position skipped there was refuted, so no minimum cover holds it
+            p = (known & -known).bit_length() - 1
+            budget = known.bit_count() - 1
+            for q in range(floor, p):
+                inc = self.vert_edges[q] & U
+                if inc and self.tau_le(U & ~inc, budget):
+                    p, known = q, self.found | 1 << q
                     break
-            else:
-                raise AssertionError("cover reconstruction failed")
+            chosen.append(self.vids[p])
+            U &= ~self.vert_edges[p]
+            known ^= 1 << p
+            floor = p + 1
         return chosen
 
 

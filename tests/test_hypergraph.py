@@ -497,6 +497,69 @@ def test_inherited_bounds_are_sound():
     assert inherited >= 5
 
 
+def meets(h, s, cover, U):
+    """Do the vertices at the positions in `cover` meet every edge of U?"""
+    chosen = {s.vids[p] for p in _bits(cover)}
+    return all(chosen & set(h.edges[ei]) for ei in _bits(U))
+
+
+def brute_lex_min_cover(h):
+    # ids rise with positions here, so the first hit is the lex-least minimum
+    ids = [v.id for v in h.vertices]
+    for k in range(len(ids) + 1):
+        for pick in combinations(ids, k):
+            if all(set(e) & set(pick) for e in h.edges):
+                return pick
+
+
+def test_stored_and_reported_covers_are_checked_by_brute_force():
+    # every `_exact` entry is a minimum cover of its family, and every yes
+    # of `tau_le` leaves a cover of at most b vertices in `found`
+    rng = random.Random(1913)
+    yes = 0
+    for _ in range(60):
+        h = random_instance(rng, max_edges=10)
+        m = len(h.edges)
+        s = h.solver()
+        cert = cover_number(h)
+        assert cert.witness == brute_lex_min_cover(h), h.edges
+        for _ in range(4):
+            U = rng.randrange(0, 1 << m)
+            b = rng.randrange(-1, 5)
+            if s.tau_le(U, b):
+                assert s.found.bit_count() <= b and meets(h, s, s.found, U), (h.edges, U, b)
+                yes += 1
+        for U, cover in s._exact.items():
+            ids = [i for i in range(m) if U >> i & 1]
+            assert meets(h, s, cover, U), (h.edges, ids)
+            assert cover.bit_count() == brute_tau_subsets(h, ids), (h.edges, ids)
+    assert yes >= 30
+
+
+def test_tau_le_reports_a_cover_on_every_kind_of_yes():
+    # edges 0, 1 share vertex 0 and edge 2 is apart: two components
+    h = make(2, 3, [(0, 3), (0, 4), (1, 5)])
+    s = h.solver()
+    # the empty family: the seeded entry, the empty cover
+    assert s.tau_le(0, 0) and s.found == 0
+    assert not s.tau_le(0b111, 1)
+    # the split: the components' covers, stored as the family's
+    assert s.tau_le(0b111, 2)
+    assert s.found.bit_count() == 2 and meets(h, s, s.found, 0b111)
+    assert s._exact[0b111] == s.found
+    # an `_exact` hit: the stored cover again, and no new search
+    split, entries = s.found, len(s._lower)
+    s.found = 0
+    assert s.tau_le(0b111, 3) and s.found == split
+    assert len(s._lower) == entries
+    # a branch: the child's cover plus the branch vertex
+    tri = make(3, 3, [(0, 3, 6), (0, 4, 7), (1, 3, 7)])
+    t = tri.solver()
+    assert not t.tau_le(t.all_edges, 1)
+    assert t.tau_le(t.all_edges, 2)
+    assert t.found.bit_count() == 2 and meets(tri, t, t.found, t.all_edges)
+
+
 def test_solver_is_freed_without_the_garbage_collector():
     # the solver holds no reference back to its hypergraph, so dropping the
     # hypergraph frees the solver and its memos by reference counting
@@ -533,21 +596,60 @@ def covered(name):
 # `_lower` entries after one cover_number on a fresh build; the counts do
 # not depend on the machine, so a weaker bound or a larger tree shows here
 LOWER_MEMO_CEILINGS = {
-    "h1(5,2)": 142,
-    "h2(5,2)": 96,
-    "h2(4,4)": 261,
-    "h1(5,3)": 632,
-    "h2(5,3)": 563,
-    "h1(5,4)": 1219,
-    "TC(7)": 457,
-    "h2(7,2)": 343,
-    "TC(9)": 4890,
+    "h1(5,2)": 130,
+    "h2(5,2)": 84,
+    "h2(4,4)": 245,
+    "h1(5,3)": 617,
+    "h2(5,3)": 546,
+    "h1(5,4)": 1200,
+    "TC(7)": 452,
+    "h2(7,2)": 219,
+    "TC(9)": 4884,
+    "T(32)": 32,
 }
 
 
 @pytest.mark.parametrize("name", sorted(LOWER_MEMO_CEILINGS))
 def test_cover_search_size_does_not_grow(name):
     assert len(covered(name)._lower) <= LOWER_MEMO_CEILINGS[name]
+
+
+@pytest.mark.parametrize("q", [16, 32])
+def test_truncated_plane_cover_takes_one_entry_per_budget(q):
+    # the root's fractional bound is already q, the descent that finds a
+    # cover stores one entry a level, and the witness asks nothing more
+    assert len(covered(f"T({q})")._lower) == q
+
+
+def reconstruction_calls(h):
+    """(cover_number(h), the `tau_le` calls made after the climb has settled tau)."""
+    s = h.solver()
+    s.tau_exact(s.all_edges)
+    calls = 0
+    search = s.tau_le
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return search(*args)
+
+    s.tau_le = counting  # the instance attribute: recursive calls count too
+    return cover_number(h), calls
+
+
+@pytest.mark.parametrize("build, m, tau, most", [
+    (truncated_plane, 32, 32, 0),
+    (disjoint_edges, 1200, 1200, 0),
+    (path, 700, 350, 350),
+])
+def test_witness_reuses_the_climbs_cover(build, m, tau, most):
+    # a witness scan that searched again at every position would make 528
+    # calls on T(32), 1,200 on the disjoint edges and 61,775 on the path
+    h = build(m)
+    cert, calls = reconstruction_calls(h)
+    assert cert.value["tau"] == tau
+    assert cover_is_valid(h, cert.witness)
+    assert calls <= most
 
 
 def test_inherited_cut_spares_own_bound_passes():
@@ -657,8 +759,8 @@ def relabelled(h, seed):
 @pytest.mark.parametrize("seed", [1, 2, 3])
 @pytest.mark.parametrize("name", ["h1(5,3)", "h1(7,2)"])
 def test_relabelled_cover_search_stays_small(name, seed):
-    # `_lower` entries on seeds 1/2/3: h1(5,3) 2,675 / 2,277 / 2,701 and
-    # h1(7,2) 2,138 / 1,940 / 1,787.  Scanning U in index order left
+    # `_lower` entries on seeds 1/2/3: h1(5,3) 2,649 / 2,170 / 2,682 and
+    # h1(7,2) 2,093 / 1,908 / 1,732.  Scanning U in index order left
     # 47,764 / 185,194 / 105,560 and 109,418 / 6,573 / 167,719.
     built = covered(name)
     h = relabelled(ladder_instance(name), seed)
@@ -800,7 +902,7 @@ def test_cover_search_finds_symmetry_on_the_conic_truncations(name, order):
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_relabelled_tc9_cover_search_stays_small(seed):
-    # `_lower` entries on seeds 1/2/3: 10,437 / 9,485 / 16,683, against
+    # `_lower` entries on seeds 1/2/3: 10,421 / 9,470 / 16,570, against
     # 25 k-40 k without the orbital rule
     h = relabelled(ladder_instance("TC(9)"), seed)
     cert = cover_number(h)
