@@ -1,13 +1,17 @@
 """JSON-shaped storage for hypergraphs and certificates.
 
 Instances are tiny, so the format optimizes for diffability: sorted keys,
-stable ordering, one top-level object per file.  Certificates carry a
-digest of the hypergraph file they were computed from, so a certificate
-cannot be replayed against a different input.
+stable ordering, one top-level object per file.  `save_hypergraph` writes
+the vertex and edge lists itself, byte for byte as `json.dump` with
+indent=2 and sorted keys would: with an indent, `json` formats in pure
+Python, several times slower.  Certificates carry a digest of the
+hypergraph file they were computed from, so a certificate cannot be
+replayed against a different input.
 """
 
 import hashlib
 import json
+from json.encoder import encode_basestring_ascii
 
 from .hypergraph import Certificate, Hypergraph, Vertex
 
@@ -51,10 +55,40 @@ def hypergraph_from_dict(d: dict):
     return h, d.get("meta", {})
 
 
+def _list_items(items):
+    """The text between a top-level list's brackets, as `json.dump` lays it
+    out with indent=2: nothing for an empty list."""
+    first = True
+    for item in items:
+        yield ("\n    " if first else ",\n    ") + item
+        first = False
+    if not first:
+        yield "\n  "
+
+
 def save_hypergraph(path, h: Hypergraph, meta: dict = None) -> None:
+    """Write `hypergraph_to_dict(h, meta)` as indented JSON, sorted keys.
+
+    `json` formats everything but the two lists, left empty; their items
+    are then streamed in at "edges", the first top-level key, and
+    "vertices", the last.  Keys nested in meta are indented deeper, so
+    neither can match.
+    """
+    head = json.dumps(hypergraph_to_dict(Hypergraph(h.r, (), ()), meta), indent=2, sort_keys=True)
+    at_edges = head.index('\n  "edges": []') + len('\n  "edges": [')
+    at_vertices = head.rindex('\n  "vertices": []') + len('\n  "vertices": [')
+    edges = ("[\n      " + ",\n      ".join(map(str, e)) + "\n    ]" if e else "[]" for e in h.edges)
+    vertices = (
+        f'{{\n      "id": {v.id},\n      "label": {encode_basestring_ascii(v.label)},'
+        f'\n      "side": {v.side}\n    }}'
+        for v in h.vertices
+    )
     with open(path, "w", encoding="utf-8") as f:
-        json.dump(hypergraph_to_dict(h, meta), f, indent=2, sort_keys=True)
-        f.write("\n")
+        f.write(head[:at_edges])
+        f.writelines(_list_items(edges))
+        f.write(head[at_edges:at_vertices])
+        f.writelines(_list_items(vertices))
+        f.write(head[at_vertices:] + "\n")
 
 
 def load_hypergraph(path):

@@ -1,13 +1,16 @@
 """The projective plane PG(2,q) as an explicit incidence structure.
 
 Points are homogeneous triples over GF(q), normalized so the leftmost
-nonzero coordinate is 1, and numbered by lexicographic rank of the triple.
+nonzero coordinate is 1, and numbered by lexicographic rank of the triple:
+(0:0:1) is 0, (0:1:c) is 1 + c and (1:b:c) is q + 1 + q*b + c.
 Lines use the same triples as dual coefficient vectors, so point i and
 line i carry the same triple; incidence is the vanishing of the bilinear
-form a0*x0 + a1*x1 + a2*x2.  The form is symmetric, so point j lies on
-line i iff point i lies on line j: the lines through point p are the points
-of line p, and the point sets of the lines are the one incidence table.
-The line through two points is read from it: the one line in both pencils.
+form a0*x0 + a1*x1 + a2*x2.  Each line's q + 1 points are solved for from
+its coefficients, not found by testing every point.  The form is
+symmetric, so point j lies on line i iff point i lies on line j: the lines
+through point p are the points of line p, and the point sets of the lines
+are the one incidence table.  The line through two points is read from it:
+the one line in both pencils.
 Everything downstream (conics, constructions, file output) refers to these
 ids, so the numbering is part of the contract.
 """
@@ -42,16 +45,11 @@ class Conic:
 
 
 def _normalized_triples(q):
-    # Leftmost nonzero coordinate equal to 1 picks one representative per
-    # projective class; plain lex enumeration then gives the id order.
-    out = []
-    for x0 in range(q):
-        for x1 in range(q):
-            for x2 in range(q):
-                lead = x0 if x0 else (x1 if x1 else x2)
-                if lead == 1:
-                    out.append((x0, x1, x2))
-    return out
+    # leftmost nonzero coordinate equal to 1 picks one representative per
+    # projective class; listed in lex order, the index is the id
+    return [(0, 0, 1)] + [(0, 1, c) for c in range(q)] + [
+        (1, b, c) for b in range(q) for c in range(q)
+    ]
 
 
 class ProjectivePlane:
@@ -65,14 +63,24 @@ class ProjectivePlane:
         self.points = [PlanePoint(i, t) for i, t in enumerate(triples)]
         self._id_of = {t: i for i, t in enumerate(triples)}
         # line i takes point i's triple as coefficients; raw table lookups,
-        # since every entry is a field element already
-        add, mul = field._add, field._mul
-        pts = [(p.id, *p.coords) for p in self.points]
+        # since every entry is a field element already.  The lines index
+        # one list of ids, so every line shares its ints.
+        add, mul, neg, inv = field._add, field._mul, field._neg, field._inv
+        ids = [p.id for p in self.points]
+        affine = range(q + 1, len(ids), q)  # id of (1:b:0) for each b
         self.lines = []
         for p in self.points:
-            m0, m1, m2 = (mul[a] for a in p.coords)
-            on = frozenset(i for i, x0, x1, x2 in pts if add[add[m0[x0]][m1[x1]]][m2[x2]] == 0)
-            self.lines.append(PlaneLine(p.id, p.coords, on))
+            a0, a1, a2 = p.coords
+            if a2:  # (0:1:-a1/a2), then (1:b:c) with c = -(a0 + a1*b)/a2
+                solve, shift = mul[neg[inv[a2]]], add[a0]
+                on = [ids[1 + solve[a1]]]
+                on += [ids[start + solve[shift[m]]] for start, m in zip(affine, mul[a1])]
+            elif a1:  # (0:0:1), then (1:b:c) with b = -a0/a1 and every c
+                start = affine[mul[neg[a0]][inv[a1]]]
+                on = [ids[0]] + ids[start:start + q]
+            else:  # x0 = 0: (0:0:1) and every (0:1:c)
+                on = ids[:q + 1]
+            self.lines.append(PlaneLine(p.id, p.coords, frozenset(on)))
 
     def normalize(self, triple):
         """Scale a nonzero triple so its leftmost nonzero entry is 1."""

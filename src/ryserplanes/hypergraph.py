@@ -532,25 +532,31 @@ def validate_partite(h: Hypergraph) -> ValidationReport:
     # violation stands for those edge sizes, and no table of r sides is built
     wide = h.r > len(h.vertices)
     violations = [{"code": "arity_too_large", "r": h.r}] if wide else []
-    seen_ids = {}
+    side_of = {}  # where ids repeat, the last vertex's side, as in h.vertex
     sizes = {}
     for v in h.vertices:
-        if v.id in seen_ids:
+        if v.id in side_of:
             violations.append({"code": "duplicate_vertex_id", "vertex": v.id})
-        seen_ids[v.id] = v
+        side_of[v.id] = v.side
         if 0 <= v.side < h.r:
             sizes[v.side] = sizes.get(v.side, 0) + 1
         else:
             violations.append({"code": "side_out_of_range", "vertex": v.id, "side": v.side})
+    # r distinct sides in range(r) mean r distinct known vertices, one per
+    # side, so no check after the duplicate-edge test can fire on the edge;
+    # a wide family has fewer than r vertices, so no edge of it passes
+    every_side = None if wide else set(range(h.r))
     seen_edges = {}
     for ei, e in enumerate(h.edges):
         if e in seen_edges:
             violations.append({"code": "duplicate_edge", "edge": ei, "other": seen_edges[e]})
         else:
             seen_edges[e] = ei
+        if every_side is not None and len(e) == h.r and {side_of.get(v, -1) for v in e} == every_side:
+            continue
         if len(set(e)) != len(e):
             violations.append({"code": "repeated_vertex_in_edge", "edge": ei})
-        unknown = [vid for vid in e if vid not in h._by_id]
+        unknown = [vid for vid in e if vid not in side_of]
         if unknown:
             violations.append({"code": "unknown_vertex", "edge": ei, "vertices": unknown})
             continue
@@ -558,7 +564,7 @@ def validate_partite(h: Hypergraph) -> ValidationReport:
             violations.append({"code": "edge_size", "edge": ei, "size": len(e)})
         per_side = {}
         for vid in e:
-            per_side.setdefault(h.vertex(vid).side, []).append(vid)
+            per_side.setdefault(side_of[vid], []).append(vid)
         for side, vids in per_side.items():
             if len(vids) > 1:
                 violations.append(

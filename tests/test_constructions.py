@@ -250,6 +250,15 @@ FROZEN_FILES = [
     ("h2", 4, 2, "47de4492192e43b5b244d7d6563036feb29d3ebb159a1c62292d70cbdac8b161"),
     ("h2", 5, 3, "ac370072f77a55739ce1d8a82e53b59b428da0753f82fa3347ee62945ca52b15"),
     ("g1", None, None, "59e95cbaa674edb1ec86ad7e5533fe07e2852eff54e6987a29d984dd026d0bb8"),
+    ("truncated", 16, None, "895aab8fed2d529e50c888cdd263fa7642b44d13c57fdbb6c4d3e99fc9feab70"),
+    ("truncated", 25, None, "5ccb7cd75108743660ab48235216eed98743c955b4bdf93ffe6b3dfee57d8382"),
+    ("truncated", 32, None, "6d6707c1ebc4d0eb062c8ceade40b6625ff376439d3b4fa8eed34e5088c2a66f"),
+    ("conic", 16, None, "fda3c4edeae788bb026750f48e10f7075749fe43c7e883d5a6fedf943984d2e0"),
+    ("conic", 25, None, "7e94da36618bd2baa07a73634a8f1e5ed4a427da35d20d2fca23b5dd06f6e23c"),
+    ("conic", 32, None, "33e985c9919dcff6c4a2b3ba8cc184537c4d5953b64a08fabd8d2c3ca603ce84"),
+    ("h2", 16, 2, "9e5f14e4f22fb0ee45250af358cec50d592df99e95fb5e4aefc0a1715bf7f365"),
+    ("h2", 25, 2, "5cd84c4f050c03a2e8ee0db0878f6d4342c396cc32ee141a57af1b75aff70483"),
+    ("h2", 32, 2, "e3c5a95889787c3e0874566075bd25c19774652b0de31328e6c904c28c63fd4e"),
 ]
 
 

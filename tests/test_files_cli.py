@@ -21,7 +21,7 @@ from ryserplanes.files import (
     load_hypergraph,
     save_hypergraph,
 )
-from ryserplanes.hypergraph import disjoint_union
+from ryserplanes.hypergraph import Hypergraph, Vertex, disjoint_union
 
 
 def _instances():
@@ -46,6 +46,33 @@ def test_round_trip(tmp_path, name, h, meta):
     ]
     # json round-trips the recipe dict as-is, keys stay strings throughout
     assert back_meta == (meta or {})
+
+
+def _writer_cases():
+    yield "escaped-labels", Hypergraph(
+        2,
+        [Vertex(0, 'quote " and \\ backslash', 0), Vertex(1, "new\nline", 1),
+         Vertex(2, "plan projectif \u00e9 \u03c0 \U0001d53d", 0), Vertex(3, "", 1)],
+        [(0, 1), (2, 3)],
+    ), {"note": 'meta "too"\n\u00e9'}
+    yield "no-edges", Hypergraph(2, [Vertex(0, "a", 0), Vertex(1, "b", 1)], []), None
+    yield "no-vertices", Hypergraph(3, [], [(0, 1, 2)]), {}
+    yield "nothing", Hypergraph(2, [], []), None
+    yield "empty-edge", Hypergraph(2, [Vertex(0, "a", 0), Vertex(1, "b", 1)], [(0, 1), (), (1,)]), None
+    yield "nested-keys", truncated_plane(2), {
+        "edges": [], "vertices": [], "inner": {"edges": [], "vertices": [[0], {"edges": []}]},
+    }
+    yield from _instances()
+
+
+@pytest.mark.parametrize("name,h,meta", list(_writer_cases()), ids=lambda x: x if isinstance(x, str) else "")
+def test_writer_matches_json_dump(tmp_path, name, h, meta):
+    path = tmp_path / "direct.json"
+    save_hypergraph(path, h, meta)
+    with open(tmp_path / "dumped.json", "w", encoding="utf-8") as f:
+        json.dump(hypergraph_to_dict(h, meta), f, indent=2, sort_keys=True)
+        f.write("\n")
+    assert path.read_bytes() == (tmp_path / "dumped.json").read_bytes()
 
 
 def test_rejects_unknown_format_version():

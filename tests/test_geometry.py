@@ -60,6 +60,19 @@ def test_incidence_is_frozen(q):
     assert hashlib.sha256(repr(incidence).encode()).hexdigest() == FROZEN_INCIDENCE[q]
 
 
+@pytest.mark.parametrize("q", sorted(FROZEN_INCIDENCE))
+def test_lines_are_the_zeros_of_the_form(q):
+    # each line's points are exactly the points where a0*x0 + a1*x1 + a2*x2
+    # vanishes, evaluated point by point in the field's tables
+    plane = plane_build(q)
+    add, mul = plane.field._add, plane.field._mul
+    points = [(p.id, *p.coords) for p in plane.points]
+    for line in plane.lines:
+        m0, m1, m2 = (mul[a] for a in line.coeffs)
+        on = {i for i, x0, x1, x2 in points if add[add[m0[x0]][m1[x1]]][m2[x2]] == 0}
+        assert line.points == on
+
+
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
 def test_two_points_span_unique_line(q):
     plane = plane_build(q)

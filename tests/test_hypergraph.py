@@ -157,6 +157,66 @@ def test_validation_catches_side_missed():
     assert "side_missed" in codes
 
 
+def malformed_corpus(count, seed=2020):
+    """Seeded r = 2..5 hypergraphs with every kind of fault mixed in.
+
+    Vertex ids repeat, sides fall out of range and some families have
+    fewer vertices than sides; edges are transversals, short, long, empty,
+    with a repeated or unknown vertex, or a copy of an earlier edge.
+    """
+    rng = random.Random(seed)
+    for _ in range(count):
+        r = rng.randint(2, 5)
+        n = rng.randint(0, 3 * r)
+        verts = []
+        for i in range(n):
+            vid = i if rng.random() < 0.85 else rng.randrange(n)
+            side = i % r if rng.random() < 0.7 else rng.choice((rng.randrange(r), -1, r, r + 2))
+            verts.append(Vertex(vid, f"v{i}", side))
+        ids = [v.id for v in verts]
+        by_side = {}
+        for v in verts:
+            by_side.setdefault(v.side, []).append(v.id)
+        edges = []
+        for _ in range(rng.randint(0, 8)):
+            kind = rng.randrange(8)
+            if kind <= 2 and all(s in by_side for s in range(r)):
+                e = [rng.choice(by_side[s]) for s in range(r)]
+            elif kind == 3 and edges:
+                e = list(rng.choice(edges))
+            elif kind == 4:
+                e = []
+            else:
+                size = max(0, r + rng.choice((-2, -1, 0, 0, 1)))
+                pool = ids + [n, n + 1, -1]
+                e = [rng.choice(pool) for _ in range(size)]
+            edges.append(tuple(e))
+        yield Hypergraph(r, verts, edges)
+
+
+# sha256 over repr(validate_partite(h)) for the 3,000 families of
+# malformed_corpus(3000): the violations, their order and the side sizes
+FROZEN_VALIDATION_DIGEST = "f65229de5141ce079c338e17af06044ace96fb0fa69dea02373a6455aecb20b6"
+
+
+def test_validation_reports_are_frozen():
+    digest = hashlib.sha256()
+    codes = set()
+    clean = 0
+    for h in malformed_corpus(3000):
+        rep = validate_partite(h)
+        digest.update(repr(rep).encode())
+        codes.update(v["code"] for v in rep.violations)
+        clean += rep.ok
+    assert codes == {
+        "arity_too_large", "duplicate_vertex_id", "side_out_of_range", "duplicate_edge",
+        "repeated_vertex_in_edge", "unknown_vertex", "edge_size", "side_hit_twice",
+        "side_missed",
+    }
+    assert clean >= 40
+    assert digest.hexdigest() == FROZEN_VALIDATION_DIGEST
+
+
 # ---- matching and cover ----
 
 
@@ -656,7 +716,7 @@ def test_inherited_cut_spares_own_bound_passes():
     # entries > 0 are the nodes that ran their own bound pass (or failed a
     # search); the rest were cut by a parent's fractional matching
     lower = covered("TC(9)")._lower
-    assert sum(lb > 0 for lb in lower.values()) <= 14305
+    assert sum(lb > 0 for lb in lower.values()) <= 2574
 
 
 # `_match_memo` entries after one matching_number on a fresh build: the
