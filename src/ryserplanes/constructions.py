@@ -28,10 +28,11 @@ from .errors import (
     ArityMismatch,
     InfeasibleChoice,
     NotOddPrime,
+    NotPrimePower,
     NuTooSmall,
     QTooSmall,
 )
-from .gf import _prime_power
+from .gf import MAX_ORDER, _prime_power
 from .geometry import ProjectivePlane, classify_line, conic_canonical, is_arc, line_through, plane_build, baer_closure
 from .hypergraph import Hypergraph, Vertex, _bits
 
@@ -202,8 +203,9 @@ def build_h1(q: int, nu: int):
     build_h1(3, 3).  The gluing of the paper's family for nu >= 3 is not
     recorded here; until it is, this builder is that family only for nu = 2.
     """
-    p, k = _prime_power(q) or (0, 0)
-    if k != 1 or q % 2 == 0 or q < 3:
+    if q > MAX_ORDER:  # before factoring, which takes sqrt(q) steps
+        raise NotPrimePower(f"order {q} exceeds the supported cap {MAX_ORDER}")
+    if q % 2 == 0 or _prime_power(q) != (q, 1):
         raise NotOddPrime(f"q={q}: the cover argument needs an odd prime order")
     if nu < 2:
         raise NuTooSmall(f"nu={nu}: at least two glued planes required")

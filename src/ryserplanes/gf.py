@@ -8,6 +8,16 @@ irreducible polynomial of degree k over GF(p), coefficients compared low
 degree first; for a prime field that is x, and the tables are plain mod-p
 arithmetic.  That makes element indices, and everything built on top of
 them, identical across runs.
+
+The tables come from the digits alone.  Addition goes digit by digit,
+add[a][b] = (a + b) % p + p * add[a // p][b // p].  Multiplying by x shifts
+the digits up, the top digit wrapping round as x**k = -(the modulus's lower
+terms), and each row follows from a*b = a*(b % p) + x*(a*(b // p)).  The
+same steps give the ring GF(p)[x]/(f) for any monic f of degree k, and that
+ring is a field iff f is irreducible, iff no two nonzero elements multiply
+to zero: a factorisation f = g*h is such a pair, and a finite ring without
+one is a field.  So the candidates are tabulated in lex order and the first
+table free of zero divisors fixes the modulus.
 """
 
 from .errors import NotPrimePower
@@ -35,29 +45,6 @@ def _prime_power(q):
     return (p, k) if n == 1 else None
 
 
-def _poly_mod(f, g, p):
-    """Remainder of f modulo monic g, coefficient lists constant term first."""
-    r = list(f)
-    dg = len(g) - 1
-    while len(r) - 1 >= dg:
-        c = r[-1]
-        if c:
-            shift = len(r) - 1 - dg
-            for i in range(dg + 1):
-                r[shift + i] = (r[shift + i] - c * g[i]) % p
-        r.pop()
-    return r
-
-
-def _poly_mul(f, g, p):
-    out = [0] * (len(f) + len(g) - 1)
-    for i, a in enumerate(f):
-        if a:
-            for j, b in enumerate(g):
-                out[i + j] = (out[i + j] + a * b) % p
-    return out
-
-
 def _monic_polys(p, deg):
     """All monic polynomials of the given degree, in lex order (low degree first)."""
     for n in range(p ** deg):
@@ -70,67 +57,59 @@ def _monic_polys(p, deg):
         yield coeffs + [1]
 
 
-def _is_irreducible(f, p):
-    deg = len(f) - 1
-    if f[0] == 0:
-        return deg == 1
-    for d in range(1, deg // 2 + 1):
-        for g in _monic_polys(p, d):
-            if not any(_poly_mod(f, g, p)):
-                return False
-    return True
+def _add_table(p, q):
+    """Rows of a + b in GF(q), digit by digit; the same for every modulus."""
+    add = [list(range(q))]
+    for a in range(1, q):
+        high = add[a // p]
+        add.append([(a + b) % p + p * high[b // p] for b in range(q)])
+    return add
 
 
-def _least_irreducible(p, k):
-    for f in _monic_polys(p, k):
-        if _is_irreducible(f, p):
-            return f
-    raise AssertionError(f"no irreducible of degree {k} over GF({p})")
+def _mul_table(add, p, modulus):
+    """Rows of a * b in GF(p)[x]/(modulus), or None at the first row that
+    holds a zero divisor, which is the case iff the modulus is reducible."""
+    q = len(add)
+    top = q // p
+    # t * x**k = -t * (the lower terms), for each top digit t
+    wrap = [sum(-t * c % p * p ** i for i, c in enumerate(modulus[:-1])) for t in range(p)]
+    times_x = [add[a % top * p][wrap[a // top]] for a in range(q)]
+    mul = [[0] * q]
+    for a in range(1, q):
+        row = [0]
+        for _ in range(1, p):
+            row.append(add[row[-1]][a])
+        for b in range(p, q):
+            row.append(add[row[b % p]][times_x[row[b // p]]])
+        if row.count(0) > 1:
+            return None
+        mul.append(row)
+    return mul
 
 
 class FieldSpec:
     """GF(q) with fully tabulated add/mul/inv.
 
-    Immutable after construction; all operations are pure lookups.
+    Immutable after construction; all operations are pure lookups.  The
+    checked methods guard the row tables `_add[a][b]`, `_mul[a][b]`,
+    `_neg[a]` and `_inv[a]` (None at 0), which `geometry` reads directly.
     """
 
     def __init__(self, q):
+        if q > MAX_ORDER:  # before factoring, which takes sqrt(q) steps
+            raise NotPrimePower(f"order {q} exceeds the supported cap {MAX_ORDER}")
         pk = _prime_power(q)
         if pk is None:
             raise NotPrimePower(f"{q} is not a prime power")
-        if q > MAX_ORDER:
-            raise NotPrimePower(f"order {q} exceeds the supported cap {MAX_ORDER}")
         self.p, self.k = pk
         self.q = q
-        self.modulus = _least_irreducible(self.p, self.k)
-        self._build_tables()
-
-    def _digits(self, a):
-        out = []
-        for _ in range(self.k):
-            out.append(a % self.p)
-            a //= self.p
-        return out
-
-    def _undigits(self, coeffs):
-        val = 0
-        for c in reversed(coeffs):
-            val = val * self.p + (c % self.p)
-        return val
-
-    def _build_tables(self):
-        p, q = self.p, self.q
-        polys = [self._digits(a) for a in range(q)]
-        self._add = [
-            [self._undigits([(x + y) % p for x, y in zip(fa, fb)]) for fb in polys]
-            for fa in polys
-        ]
-        self._mul = [
-            [self._undigits(_poly_mod(_poly_mul(fa, fb, p), self.modulus, p)) for fb in polys]
-            for fa in polys
-        ]
-        self._neg = [self._add[a].index(0) for a in range(q)]
-        self._inv = [None] + [self._mul[a].index(1) for a in range(1, q)]
+        self._add = _add_table(self.p, q)
+        for self.modulus in _monic_polys(self.p, self.k):
+            self._mul = _mul_table(self._add, self.p, self.modulus)
+            if self._mul:
+                break
+        self._neg = [row.index(0) for row in self._add]
+        self._inv = [None] + [row.index(1) for row in self._mul[1:]]
 
     def _check(self, a):
         if not 0 <= a < self.q:

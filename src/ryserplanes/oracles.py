@@ -22,7 +22,7 @@ from .geometry import (
     line_through,
     plane_build,
 )
-from .gf import _prime_power
+from .gf import MAX_ORDER, _prime_power
 from .hypergraph import _bits, _mask
 
 
@@ -208,8 +208,8 @@ def classify_conic_blockers(q: int) -> BlockerReport:
     the (q+1)-point blockers are exactly the list; a smaller blocker would
     show as a smaller minimum.
     """
-    pk = _prime_power(q)
-    if pk is None or pk[1] != 1 or q == 2:
+    # past MAX_ORDER the size error comes first, before sqrt(q) factoring steps
+    if q <= MAX_ORDER and (q % 2 == 0 or _prime_power(q) != (q, 1)):
         raise NotOddPrime(f"conic blocker classification needs an odd prime, got {q}")
     if q > 5:
         raise SearchTooLarge(f"conic blocker search is capped at q = 5, got {q}")

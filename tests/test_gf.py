@@ -2,8 +2,12 @@ import hashlib
 
 import pytest
 
-from ryserplanes.errors import NotPrimePower
-from ryserplanes.gf import FieldSpec
+from ryserplanes import constructions, gf, oracles
+from ryserplanes.cli import main
+from ryserplanes.constructions import build_h1, build_h2, truncated_plane
+from ryserplanes.errors import NotPrimePower, SearchTooLarge
+from ryserplanes.gf import MAX_ORDER, FieldSpec, _add_table, _mul_table
+from ryserplanes.oracles import classify_conic_blockers
 
 # lexicographically least monic irreducibles, coefficients constant-first
 KNOWN_MODULI = {
@@ -13,6 +17,7 @@ KNOWN_MODULI = {
     16: [1, 0, 0, 1, 1],
     25: [1, 1, 1],
     27: [1, 0, 2, 1],
+    32: [1, 0, 0, 1, 0, 1],
 }
 
 
@@ -120,6 +125,50 @@ def test_tables_are_frozen(q):
         [[f.mul(a, b) for b in range(q)] for a in range(q)],
     )
     assert hashlib.sha256(repr(tables).encode()).hexdigest() == FROZEN_TABLES[q]
+    for a in range(q):
+        assert f.add(a, f.neg(a)) == 0
+        if a:
+            assert f.mul(a, f.inv(a)) == 1
+
+
+@pytest.mark.parametrize(
+    "p,modulus,is_field",
+    [
+        (3, [0, 0, 1], False),  # x^2
+        (5, [1, 0, 1], False),  # x^2 + 1 = (x - 2)(x + 2)
+        (2, [1, 0, 1, 0, 1], False),  # x^4 + x^2 + 1 = (x^2 + x + 1)^2
+        (3, [1, 0, 1], True),  # x^2 + 1 has no root mod 3
+    ],
+)
+def test_table_refuses_reducible_moduli(p, modulus, is_field):
+    # a reducible modulus leaves a zero divisor, so the table step refuses it
+    add = _add_table(p, p ** (len(modulus) - 1))
+    assert (_mul_table(add, p, modulus) is not None) == is_field
+
+
+HUGE_PRIME = 2**61 - 1
+
+
+def test_cap_comes_before_factoring(monkeypatch, tmp_path, capsys):
+    # trial division up to sqrt(q) takes minutes at 2^61 - 1; nothing past the cap may reach it
+    factor = gf._prime_power
+
+    def factor_small(q):
+        assert q <= MAX_ORDER, f"{q} was factored before the cap was checked"
+        return factor(q)
+
+    for module in (gf, constructions, oracles):
+        monkeypatch.setattr(module, "_prime_power", factor_small)
+    for build in (FieldSpec, truncated_plane, lambda q: build_h1(q, 2), lambda q: build_h2(q, 2)):
+        with pytest.raises(NotPrimePower, match=f"exceeds the supported cap {MAX_ORDER}"):
+            build(HUGE_PRIME)
+    with pytest.raises(SearchTooLarge):
+        classify_conic_blockers(HUGE_PRIME)
+    out = tmp_path / "h1.json"
+    assert main(["build", "--family", "h1", "--q", str(HUGE_PRIME), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert captured.err.count("\n") == 1 and captured.err.startswith("error: NotPrimePower")
 
 
 @pytest.mark.parametrize("q", [2, 3, 5, 31])
