@@ -34,7 +34,7 @@ class BlockerReport:
     count: int
     blockers: tuple  # ascending point-id tuples, lexicographically sorted
     classes: tuple  # one label per blocker
-    visited: int  # nodes of the report's one search
+    visited: int  # nodes of the report's one search; for nontrivial reports, of the frame search
 
 
 def blocks_all(plane: ProjectivePlane, pts, line_ids) -> bool:
@@ -217,19 +217,135 @@ def classify_conic_blockers(q: int) -> BlockerReport:
 
 
 def min_nontrivial_blocking(q: int) -> BlockerReport:
-    """Smallest blocker of all lines that contains no full line.
+    """Smallest blockers of all lines that contain no full line.
 
     A minimal blocker containing a line is that line (a line alone already
     blocks everything), so the nontrivial ones are exactly the minimal
-    non-line blockers.  One pass at budget floor(3(q+1)/2) holds the
-    minimum: a projective triangle (odd q) or projective triad (even q) is
-    a minimal non-line blocker of that size, and for prime q Blokhuis
-    (1994) proved none is smaller.  Exactness rests on neither fact: the
-    pass lists every minimal blocker of at most the budget, so any non-line
-    one it holds bounds the minimum and every smaller one is listed too.
-    The triangle and triad only promise that the pass holds one, and
-    `_report` checks that at run time.
+    non-line blockers, and each holds three non-collinear points.  The
+    budget floor(3(q+1)/2) is the size of a projective triangle (odd q) or
+    triad (even q), a minimal non-line blocker; for prime q Blokhuis (1994)
+    proved none is smaller.  Exactness rests on neither fact.
+
+    The search runs only through the frame triangle F = {(0:0:1), (0:1:0),
+    (1:0:0)}: one `_minimal_blockers` call over the lines that miss F, at
+    budget - 3, and S + F is kept when each of its points is alone on some
+    line.  That is every minimal blocker B that holds F: each point of
+    B - F has a line meeting B in it alone, that line misses F, so B - F is
+    a minimal blocker of the lines off F.  The minimum is the least kept
+    size, and the kept sets of that size are the representatives.
+
+    Every other smallest blocker is the image of a representative under a
+    collineation taking one of its non-collinear triples to F, so the
+    report lists the closure of the representatives under `_GENERATORS`.
+    That needs the generators to be transitive on non-collinear triples,
+    and `_collineation_tables` checks it at run time (each generator maps
+    lines onto lines, and the orbit of F holds every such triple), raising
+    `RuntimeError` rather than returning a short list.  `visited` counts
+    the nodes of the frame search.
     """
-    if q not in (3, 4, 5):
-        raise SearchTooLarge(f"nontrivial blocker search runs for q in 3..5, got {q}")
-    return _report(q, "nontrivial", 3 * (q + 1) // 2, lambda plane, b: not _is_line(plane, b))
+    if q not in (3, 4, 5, 7):
+        raise SearchTooLarge(f"nontrivial blocker search runs for q in 3, 4, 5 and 7, got {q}")
+    budget = 3 * (q + 1) // 2
+    plane = plane_build(q)
+    frame = (0, 1, q + 1)
+    off = [ln.id for ln in plane.lines if not ln.points.intersection(frame)]
+    found, visited = _minimal_blockers(plane, off, budget - 3)
+    through = [_mask(ln.points) for ln in plane.lines]  # p -> lines through p, by duality
+    kept = []
+    for s in found:
+        pts = frame + s
+        once = twice = 0
+        for p in pts:
+            twice |= once & through[p]
+            once |= through[p]
+        alone = once & ~twice
+        if all(through[p] & alone for p in pts):
+            kept.append(_mask(pts))
+    if not kept:
+        raise RuntimeError(f"no nontrivial blocker of at most {budget} points")
+    minimum = min(m.bit_count() for m in kept)
+    reps = [m for m in kept if m.bit_count() == minimum]
+    blockers = sorted(tuple(_bits(m)) for m in _closure(_collineation_tables(plane, frame), reps))
+    conic = conic_canonical(plane)
+    classes = tuple(_classify(plane, conic, b) for b in blockers)
+    return BlockerReport(q, "nontrivial", minimum, len(blockers), tuple(blockers), classes, visited)
+
+
+# the collineations the nontrivial report closes under, as matrices in the
+# field's first element w of order q - 1: the coordinate cycle, the
+# transvection x0 += x1 and diag(w, 1, 1)
+_GENERATORS = (
+    lambda w: ((0, 1, 0), (0, 0, 1), (1, 0, 0)),
+    lambda w: ((1, 1, 0), (0, 1, 0), (0, 0, 1)),
+    lambda w: ((w, 0, 0), (0, 1, 0), (0, 0, 1)),
+)
+
+
+def _collineation_tables(plane, frame):
+    """Each generator's point map as one 256-entry table per mask byte.
+
+    Raises `RuntimeError` unless every generator maps each line onto a line
+    and the orbit of the frame triangle under them holds all
+    n(n-1)(n-q-1)/6 non-collinear triples of the n points: collineations
+    never make a non-collinear triple collinear, so the count settles it.
+    """
+    field, q, n = plane.field, plane.q, len(plane.points)
+    add, mul = field._add, field._mul
+    w = next(a for a in range(1, q) if _order(mul, a) == q - 1)
+    lines = {_mask(ln.points) for ln in plane.lines}
+    tables = []
+    for gen in _GENERATORS:
+        rows = gen(w)
+        perm = [
+            plane.point_id(tuple(add[add[mul[a][x]][mul[b][y]]][mul[c][z]] for a, b, c in rows))
+            for x, y, z in (pt.coords for pt in plane.points)
+        ]
+        table = []
+        for k in range(0, n, 8):
+            t = [0] * 256
+            for v in range(1, 256):
+                low = (v & -v).bit_length() - 1
+                t[v] = t[v & (v - 1)] | (1 << perm[k + low] if k + low < n else 0)
+            table.append(t)
+        tables.append(table)
+    # a direct check: the closure of a non-collineation could be huge
+    if any(img not in lines for m in lines for img in _images(tables, m)):
+        raise RuntimeError(f"a generator maps a line of PG(2,{q}) off the lines")
+    if len(_closure(tables, [_mask(frame)])) != n * (n - 1) * (n - q - 1) // 6:
+        raise RuntimeError(f"the generators are not transitive on the triangles of PG(2,{q})")
+    return tables
+
+
+def _order(mul, a):
+    x, k = a, 1
+    while x != 1:
+        x, k = mul[x][a], k + 1
+    return k
+
+
+def _images(tables, m):
+    """The images of the point mask m under each generator."""
+    mb = m.to_bytes(len(tables[0]), "little")
+    out = []
+    for table in tables:
+        img = 0
+        for t, b in zip(table, mb):
+            img |= t[b]
+        out.append(img)
+    return out
+
+
+def _closure(tables, seeds):
+    """Every image of the seed masks under the group the tables generate,
+    breadth first."""
+    seen = set(seeds)
+    frontier = list(seen)
+    while frontier:
+        nxt = []
+        for m in frontier:
+            for img in _images(tables, m):
+                if img not in seen:
+                    seen.add(img)
+                    nxt.append(img)
+        frontier = nxt
+    return seen

@@ -291,7 +291,7 @@ def test_cli_oracle(capsys):
 
 # sha256 of the oracle command's stdout: the JSON line, key order and all
 ORACLE_STDOUT = {
-    ("nontrivial", "4"): "8fa7ebb88e90c48d81e9d2677f7e2f2adbbf4d259f4a285a5d9ecaae1c3fe187",
+    ("nontrivial", "4"): "da05919bc29922dee76c8f87e3272e8144f03d4dee3b7a5b90e4edaaf26bf1f1",
     ("conic-blockers", "5"): "3904a8f2a24aff3a3cf24165a90bffd135efa012d8613fca48c3bb3b3574f63e",
 }
 

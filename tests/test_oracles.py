@@ -13,7 +13,9 @@ import hashlib
 import json
 import random
 from collections import Counter
+from fractions import Fraction
 from functools import cache
+from math import comb
 
 import pytest
 
@@ -43,9 +45,9 @@ FROZEN = [
     ("blocking", 5, 3763, "0b355838afe14ea9ee72b52573a4969de60f541f4bc5c316167645feaba5467b"),
     ("conic-blockers", 3, 180, "4c0deb5d3b5ee4cdc41fb5d8051f4e076a7a89c9c6b84a458a757849b6d32a04"),
     ("conic-blockers", 5, 18391, "f02bf39b5d28102a289f59699c458488794c42e86bd40d7183fa295c0565d8a3"),
-    ("nontrivial", 3, 798, "311e5178ad969b30bd17589081cecb7536d7dab459c3df84144d2ea875399f52"),
-    ("nontrivial", 4, 13427, "2115920921d90bf2fc5d85a81b84c7aae20f4d1af96012a4668be94a32821ec2"),
-    ("nontrivial", 5, 789238, "42c254f52f7e705b2e43e99b84bb995454bf8a0fce9b10bcea1701f9acfeaf2f"),
+    ("nontrivial", 3, 50, "311e5178ad969b30bd17589081cecb7536d7dab459c3df84144d2ea875399f52"),
+    ("nontrivial", 4, 401, "2115920921d90bf2fc5d85a81b84c7aae20f4d1af96012a4668be94a32821ec2"),
+    ("nontrivial", 5, 16152, "42c254f52f7e705b2e43e99b84bb995454bf8a0fce9b10bcea1701f9acfeaf2f"),
 ]
 
 FROZEN_IDS = [f"{kind}-{q}" for kind, q, _, _ in FROZEN]
@@ -190,6 +192,43 @@ def test_conic_blockers_reject_bad_orders():
         classify_conic_blockers(7)
 
 
+def assert_plain_minimal_nontrivial(q, blockers, size):
+    """Each set, checked on plain line masks built here: it meets every
+    line, holds no whole line, and each of its points is the only one on
+    some line (so no point can be dropped)."""
+    lines = [sum(1 << p for p in line.points) for line in plane_build(q).lines]
+    for b in blockers:
+        assert len(b) == size
+        pts = sum(1 << p for p in b)
+        private = 0
+        for line in lines:
+            meet = line & pts
+            assert meet and meet != line
+            if meet & (meet - 1) == 0:
+                private |= meet
+        assert private == pts
+
+
+def frame_representatives(q, rep):
+    """The listed blockers through the frame triangle (0:0:1), (0:1:0), (1:0:0)."""
+    return [b for b in rep.blockers if {0, 1, q + 1} <= set(b)]
+
+
+def weighted_count(q, reps):
+    """U * sum of 1/u(B) over the frame representatives, U the plane's
+    unordered non-collinear triples and u(B) those inside B: each blocker is
+    counted once per triangle in it, and every triangle holds as many
+    blockers as the frame, by transitivity.  No closure is used."""
+    plane = plane_build(q)
+    n = len(plane.points)
+    triangles = n * (n - 1) * (n - q - 1) // 6
+    total = Fraction(0)
+    for b in reps:
+        inside = comb(len(b), 3) - sum(comb(len(line.points.intersection(b)), 3) for line in plane.lines)
+        total += Fraction(1, inside)
+    return triangles * total
+
+
 @pytest.mark.parametrize(
     "q,minimum,count,cls",
     [
@@ -205,27 +244,31 @@ def test_smallest_nontrivial_blockers(q, minimum, count, cls):
     assert rep.count == count
     assert len(set(rep.blockers)) == count
     assert set(rep.classes) == {cls}
-    # every blocker, checked on plain line masks built here: it meets every
-    # line, holds no whole line, and each of its points is the only one on
-    # some line (so no point can be dropped)
-    lines = [sum(1 << p for p in line.points) for line in plane_build(q).lines]
-    for b in rep.blockers:
-        assert len(b) == minimum
-        pts = sum(1 << p for p in b)
-        private = 0
-        for line in lines:
-            meet = line & pts
-            assert meet and meet != line
-            if meet & (meet - 1) == 0:
-                private |= meet
-        assert private == pts
+    assert_plain_minimal_nontrivial(q, rep.blockers, minimum)
+    assert weighted_count(q, frame_representatives(q, rep)) == count
+
+
+def test_smallest_nontrivial_blockers_q7():
+    # 3(q+1)/2 = 12, a projective triangle (Blokhuis 1994); 908 frame
+    # representatives, five blockers per triangle of the plane
+    rep = report("nontrivial", 7)
+    assert (rep.minimum, rep.count, len(set(rep.blockers))) == (12, 130340, 130340)
+    assert set(rep.classes) == {"other"}
+    text = json.dumps([rep.blockers, rep.classes])
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "2acd9c13fba197bcab9a0090277ed023bc843c8f3f38f0681bac652b333f546b"
+    )
+    reps = frame_representatives(7, rep)
+    assert len(reps) == 908
+    assert_plain_minimal_nontrivial(7, reps, 12)
+    assert weighted_count(7, reps) == rep.count
 
 
 def test_nontrivial_budget():
     with pytest.raises(SearchTooLarge):
         min_nontrivial_blocking(2)
     with pytest.raises(SearchTooLarge):
-        min_nontrivial_blocking(7)
+        min_nontrivial_blocking(8)
 
 
 def test_nontrivial_pass_of_only_lines_raises(monkeypatch):
@@ -237,6 +280,38 @@ def test_nontrivial_pass_of_only_lines_raises(monkeypatch):
     monkeypatch.setattr(oracles, "_minimal_blockers", only_lines)
     with pytest.raises(RuntimeError, match="no nontrivial blocker of at most 6 points"):
         min_nontrivial_blocking(3)
+
+
+def test_closure_refuses_generators_short_of_transitive(monkeypatch):
+    # the coordinate cycle alone maps lines to lines but fixes the frame;
+    # the report must raise, not list only the frame representatives
+    monkeypatch.setattr(oracles, "_GENERATORS", oracles._GENERATORS[:1])
+    with pytest.raises(RuntimeError, match="not transitive"):
+        min_nontrivial_blocking(3)
+
+
+@pytest.mark.parametrize("q", [3, 4, 5, 7])
+def test_generators_map_lines_onto_lines(q):
+    plane = plane_build(q)
+    f = plane.field
+
+    def order(a):
+        x, k = a, 1
+        while x != 1:
+            x, k = f.mul(x, a), k + 1
+        return k
+
+    w = next(a for a in f.elements() if a and order(a) == q - 1)
+    lines = {line.points for line in plane.lines}
+    for gen in oracles._GENERATORS:
+        rows = gen(w)
+        for line in plane.lines:
+            image = set()
+            for p in line.points:
+                x = plane.points[p].coords
+                y = [f.add(f.add(f.mul(r[0], x[0]), f.mul(r[1], x[1])), f.mul(r[2], x[2])) for r in rows]
+                image.add(plane.point_id(y))
+            assert frozenset(image) in lines
 
 
 def plain_minimal_blockers(plane, line_ids, budget):
