@@ -236,12 +236,18 @@ def min_nontrivial_blocking(q: int) -> BlockerReport:
 
     Every other smallest blocker is the image of a representative under a
     collineation taking one of its non-collinear triples to F, so the
-    report lists the closure of the representatives under `_GENERATORS`.
-    That needs the generators to be transitive on non-collinear triples,
-    and `_collineation_tables` checks it at run time (each generator maps
-    lines onto lines, and the orbit of F holds every such triple), raising
-    `RuntimeError` rather than returning a short list.  `visited` counts
-    the nodes of the frame search.
+    report lists the closure of the representatives under `_GENERATORS`,
+    each blocker held as the bytes of its ascending point ids; bytes of one
+    length sort as the point tuples do.  That needs the generators to be
+    transitive on non-collinear triples, and `_collineations` checks it at
+    run time, raising `RuntimeError` rather than returning a short list.
+
+    Only the representatives are classified, and each image carries its
+    representative's label.  Past q + 1 points `_classify` answers only
+    `baer_subplane` or `other`, read off `is_arc` and `baer_closure`, which
+    every collineation keeps; the (q+1)-point labels depend on the fixed
+    conic, so a minimum of q + 1 or less raises `RuntimeError`.  `visited`
+    counts the nodes of the frame search.
     """
     if q not in (3, 4, 5, 7):
         raise SearchTooLarge(f"nontrivial blocker search runs for q in 3, 4, 5 and 7, got {q}")
@@ -260,15 +266,19 @@ def min_nontrivial_blocking(q: int) -> BlockerReport:
             once |= through[p]
         alone = once & ~twice
         if all(through[p] & alone for p in pts):
-            kept.append(_mask(pts))
+            kept.append(bytes(sorted(pts)))
     if not kept:
         raise RuntimeError(f"no nontrivial blocker of at most {budget} points")
-    minimum = min(m.bit_count() for m in kept)
-    reps = [m for m in kept if m.bit_count() == minimum]
-    blockers = sorted(tuple(_bits(m)) for m in _closure(_collineation_tables(plane, frame), reps))
+    minimum = min(map(len, kept))
+    if minimum <= q + 1:  # the (q+1)-point labels depend on the conic
+        raise RuntimeError(f"a nontrivial blocker of {minimum} points, at most q + 1 = {q + 1}")
     conic = conic_canonical(plane)
-    classes = tuple(_classify(plane, conic, b) for b in blockers)
-    return BlockerReport(q, "nontrivial", minimum, len(blockers), tuple(blockers), classes, visited)
+    labels = {b: _classify(plane, conic, tuple(b)) for b in kept if len(b) == minimum}
+    closed = _closure(_collineations(plane, frame), labels)
+    keys = sorted(closed)
+    blockers = tuple(map(tuple, keys))
+    classes = tuple(closed[b] for b in keys)
+    return BlockerReport(q, "nontrivial", minimum, len(blockers), blockers, classes, visited)
 
 
 # the collineations the nontrivial report closes under, as matrices in the
@@ -281,37 +291,35 @@ _GENERATORS = (
 )
 
 
-def _collineation_tables(plane, frame):
-    """Each generator's point map as one 256-entry table per mask byte.
+def _collineations(plane, frame):
+    """Each generator's point permutation as a 256-byte `bytes.translate`
+    table (q <= 7 gives at most 57 points, so every id is one byte).
 
-    Raises `RuntimeError` unless every generator maps each line onto a line
-    and the orbit of the frame triangle under them holds all
-    n(n-1)(n-q-1)/6 non-collinear triples of the n points: collineations
-    never make a non-collinear triple collinear, so the count settles it.
+    Raises `RuntimeError` unless every generator is a bijection of the
+    points that maps each line onto a line, and the orbit of the frame
+    triangle under them holds all n(n-1)(n-q-1)/6 non-collinear triples of
+    the n points: collineations never make a non-collinear triple
+    collinear, so the count settles it.
     """
     field, q, n = plane.field, plane.q, len(plane.points)
     add, mul = field._add, field._mul
     w = next(a for a in range(1, q) if _order(mul, a) == q - 1)
-    lines = {_mask(ln.points) for ln in plane.lines}
     tables = []
-    for gen in _GENERATORS:
-        rows = gen(w)
-        perm = [
-            plane.point_id(tuple(add[add[mul[a][x]][mul[b][y]]][mul[c][z]] for a, b, c in rows))
+    for rows in (gen(w) for gen in _GENERATORS):
+        images = [
+            tuple(add[add[mul[a][x]][mul[b][y]]][mul[c][z]] for a, b, c in rows)
             for x, y, z in (pt.coords for pt in plane.points)
         ]
-        table = []
-        for k in range(0, n, 8):
-            t = [0] * 256
-            for v in range(1, 256):
-                low = (v & -v).bit_length() - 1
-                t[v] = t[v & (v - 1)] | (1 << perm[k + low] if k + low < n else 0)
-            table.append(t)
-        tables.append(table)
+        # a singular matrix sends some point to the zero triple
+        perm = [plane.point_id(v) if any(v) else -1 for v in images]
+        if sorted(perm) != list(range(n)):
+            raise RuntimeError(f"a generator is not a bijection of the points of PG(2,{q})")
+        tables.append(bytes(perm) + bytes(256 - n))
     # a direct check: the closure of a non-collineation could be huge
-    if any(img not in lines for m in lines for img in _images(tables, m)):
+    lines = {bytes(sorted(ln.points)) for ln in plane.lines}
+    if any(bytes(sorted(ln.translate(t))) not in lines for ln in lines for t in tables):
         raise RuntimeError(f"a generator maps a line of PG(2,{q}) off the lines")
-    if len(_closure(tables, [_mask(frame)])) != n * (n - 1) * (n - q - 1) // 6:
+    if len(_closure(tables, {bytes(frame): None})) != n * (n - 1) * (n - q - 1) // 6:
         raise RuntimeError(f"the generators are not transitive on the triangles of PG(2,{q})")
     return tables
 
@@ -323,29 +331,19 @@ def _order(mul, a):
     return k
 
 
-def _images(tables, m):
-    """The images of the point mask m under each generator."""
-    mb = m.to_bytes(len(tables[0]), "little")
-    out = []
-    for table in tables:
-        img = 0
-        for t, b in zip(table, mb):
-            img |= t[b]
-        out.append(img)
-    return out
-
-
 def _closure(tables, seeds):
-    """Every image of the seed masks under the group the tables generate,
-    breadth first."""
-    seen = set(seeds)
+    """Every image of the seeds (bytes of ascending point ids) under the
+    group the tables generate, breadth first, mapped to its seed's value."""
+    seen = dict(seeds)
     frontier = list(seen)
     while frontier:
         nxt = []
-        for m in frontier:
-            for img in _images(tables, m):
+        for b in frontier:
+            value = seen[b]
+            for t in tables:
+                img = bytes(sorted(b.translate(t)))
                 if img not in seen:
-                    seen.add(img)
+                    seen[img] = value
                     nxt.append(img)
         frontier = nxt
     return seen

@@ -290,6 +290,35 @@ def test_closure_refuses_generators_short_of_transitive(monkeypatch):
         min_nontrivial_blocking(3)
 
 
+def test_closure_refuses_a_singular_generator(monkeypatch):
+    # (x0 : x0 : x2) sends (0:1:0) to the zero triple: no bijection of the points
+    singular = (lambda w: ((1, 0, 0), (1, 0, 0), (0, 0, 1)),)
+    monkeypatch.setattr(oracles, "_GENERATORS", oracles._GENERATORS + singular)
+    with pytest.raises(RuntimeError, match="not a bijection"):
+        min_nontrivial_blocking(3)
+
+
+@pytest.mark.parametrize("q", [3, 4, 5])
+def test_carried_classes_match_classify(q):
+    # only the frame representatives are classified; every image carries
+    # its representative's label, which must be the one `_classify` gives
+    rep = report("nontrivial", q)
+    plane = plane_build(q)
+    conic = conic_canonical(plane)
+    assert tuple(oracles._classify(plane, conic, b) for b in rep.blockers) == rep.classes
+
+
+def test_nontrivial_minimum_of_q_plus_one_raises(monkeypatch):
+    # point 8 is (1:1:1), and the frame plus it is a 4-arc: each point is
+    # alone on a tangent, so the frame filter keeps it at size q + 1 = 4,
+    # where the labels depend on the conic and are not carried by images
+    plane = plane_build(3)
+    assert plane.points[8].coords == (1, 1, 1)
+    monkeypatch.setattr(oracles, "_minimal_blockers", lambda plane, line_ids, budget: ([(8,)], 1))
+    with pytest.raises(RuntimeError, match="at most q \\+ 1"):
+        min_nontrivial_blocking(3)
+
+
 @pytest.mark.parametrize("q", [3, 4, 5, 7])
 def test_generators_map_lines_onto_lines(q):
     plane = plane_build(q)
