@@ -9,6 +9,7 @@ exhaustively), 1 invalid input or flags, 2 a disjoint pair was found,
 import argparse
 import json
 import sys
+from functools import cache
 
 from .constructions import (
     build_g1,
@@ -45,6 +46,7 @@ def _positive(text):
     return n
 
 
+@cache  # built once per process: each parse returns a fresh namespace
 def _parser():
     p = _Parser(prog="ryserplanes")
     sub = p.add_subparsers(dest="command", required=True)

@@ -93,6 +93,14 @@ class _ExactSolver:
     still to be computed.  `tau_le` is the only writer of those bounds;
     `tau_exact` climbs by calling it.
 
+    Budgets 1 and 2 are answered exactly at a leaf, with no bound pass,
+    split or branch scan: every cover holds a vertex of U's lowest edge
+    (Haralick & Elliott 1980 solve such small subproblems directly).  The
+    leaf stores nothing.  A refutation kept as a positive b + 1 would spare
+    a later visit at a higher budget its own bound pass, and so its jump to
+    the fractional bound; kept as -(b + 1) it could exceed U's own bound,
+    which an inherited entry never does.
+
     The cover search scans for its branch edge in one static order, made
     once: most conflicting edges first (`conflict[e]`, the edges meeting e),
     ties by index.  So the most constrained edges are tried first whatever
@@ -245,8 +253,10 @@ class _ExactSolver:
         """Is there a vertex set of size <= b meeting every edge of U?
 
         On yes, `found` holds such a set, a mask of vertex positions: the
-        stored cover on an `_exact` hit, the union of the components' stored
-        covers on a split, or the child's cover plus the branch vertex.
+        stored cover on an `_exact` hit, the one or two vertices the leaf
+        found at b <= 2, the union of the components' stored covers on a
+        split, or the child's cover plus the branch vertex.  A refutation
+        at the leaf (b <= 2) leaves no `_lower` entry; see the class.
 
         `autos`, when given, lists automorphisms (vertex position maps)
         that each map U onto itself; an empty list marks the whole-family
@@ -260,10 +270,30 @@ class _ExactSolver:
             return False
         lower = self._lower
         lb = lower.get(U)
+        if lb is not None and abs(lb) > b:
+            return False
+        if b <= 2:
+            # the leaf: every cover holds a vertex p of U's lowest edge, so
+            # U has a cover of at most 2 iff some U - inc(p) is empty or met
+            # by one vertex of its own lowest edge; one p per distinct role
+            vert_edges = self.vert_edges
+            tried = set()
+            for p in self.edge_verts[(U & -U).bit_length() - 1]:
+                left = U & ~vert_edges[p]
+                if left in tried:
+                    continue
+                if not left:
+                    self.found = 1 << p
+                    return True
+                if b == 2:
+                    for v in self.edge_verts[(left & -left).bit_length() - 1]:
+                        if not left & ~vert_edges[v]:
+                            self.found = 1 << p | 1 << v
+                            return True
+                tried.add(left)
+            return False
         groups = None  # set only when this visit computes U's own bound
         if lb is None or lb < 0:
-            if lb is not None and -lb > b:
-                return False
             L, groups, total = self._fractional(U)
             lb = lower[U] = -(-total // L)
         if lb > b:
@@ -354,14 +384,14 @@ class _ExactSolver:
         got = self._exact.get(U)
         if got is not None:
             return got.bit_count()
-        # a failed tau_le always leaves U a bound: its own, b + 1, or an
-        # inherited -k
+        # a failed tau_le above the leaf leaves U a bound: its own, b + 1,
+        # or an inherited -k; a refuting leaf (d <= 2) leaves none
         # only the whole-family climb branches by orbits; [] asks its root
         # to look for them (see `tau_le`)
         whole = U == self.all_edges
         d = 1
         while not self.tau_le(U, d, (self._autos or []) if whole else None):
-            d = max(d + 1, abs(self._lower[U]))
+            d = max(d + 1, abs(self._lower.get(U, 0)))
         self._exact[U] = self.found
         return d
 

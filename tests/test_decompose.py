@@ -197,7 +197,7 @@ def test_pair_search_memo_does_not_grow():
     # larger tree would raise
     h = build_h2(4, 2)[0]
     assert find_disjoint_ryser_pair(h).outcome == "none"
-    assert len(h.solver()._lower) <= 2666
+    assert len(h.solver()._lower) <= 1458
 
 
 def test_capped_h1_q5_search_does_not_grow(monkeypatch):
@@ -217,8 +217,32 @@ def test_capped_h1_q5_search_does_not_grow(monkeypatch):
     res = find_disjoint_ryser_pair(h, cap=10000)
     assert res.outcome == "inconclusive"
     assert res.visited == 10001
-    assert len(h.solver()._lower) <= 14393
+    assert len(h.solver()._lower) <= 10903
     assert len(calls) <= 4
+
+
+def test_capped_h1_q5_search_runs_no_bound_pass_below_budget_three(monkeypatch):
+    # budgets 1 and 2 are answered by the leaf: no `_fractional` call is
+    # made for a `tau_le` asked at them, however deep in the search
+    budgets, passes = [], {}
+    tau_le, fractional = _ExactSolver.tau_le, _ExactSolver._fractional
+
+    def asking(self, U, b, autos=None):
+        budgets.append(b)
+        try:
+            return tau_le(self, U, b, autos)
+        finally:
+            budgets.pop()
+
+    def bounding(self, U):
+        passes[budgets[-1]] = passes.get(budgets[-1], 0) + 1
+        return fractional(self, U)
+
+    monkeypatch.setattr(_ExactSolver, "tau_le", asking)
+    monkeypatch.setattr(_ExactSolver, "_fractional", bounding)
+    h = build_h1(5, 2)[0]
+    assert find_disjoint_ryser_pair(h, cap=10000).visited == 10001
+    assert passes and min(passes) >= 3
 
 
 def reference_walk(s, r, allowed, budget, keep=None):

@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from ryserplanes import cli
 from ryserplanes.cli import main
 from ryserplanes.constructions import (
     build_g1,
@@ -13,6 +14,7 @@ from ryserplanes.constructions import (
     conic_truncated,
     truncated_plane,
 )
+from ryserplanes.decompose import DEFAULT_CAP
 from ryserplanes.files import (
     file_digest,
     hypergraph_from_dict,
@@ -262,6 +264,32 @@ def test_cli_decompose_exit_codes(tmp_path, capsys):
 
     assert _run(tmp_path, "decompose", "--in", pair_path, "--cap", "3") == 3
     assert json.loads(capsys.readouterr().out)["outcome"] == "inconclusive"
+
+
+def test_cli_parser_is_built_once_and_keeps_no_state(tmp_path, capsys, monkeypatch):
+    # one parser serves every call in a process: a flag given to one call,
+    # or a flag error, must not carry over to the next
+    caps = []
+    search = cli.find_disjoint_ryser_pair
+
+    def recording(h, cap):
+        caps.append(cap)
+        return search(h, cap=cap)
+
+    monkeypatch.setattr(cli, "find_disjoint_ryser_pair", recording)
+    pair_path = tmp_path / "pair.json"
+    save_hypergraph(pair_path, disjoint_union(conic_truncated(3), conic_truncated(3)))
+    assert _run(tmp_path, "decompose", "--in", pair_path, "--cap", "5") == 3
+    assert _run(tmp_path, "decompose", "--in", pair_path) == 2
+    assert caps == [5, DEFAULT_CAP]
+    with pytest.raises(SystemExit) as exc:
+        main(["decompose", "--in", str(pair_path), "--cap", "0"])
+    assert exc.value.code == 1
+    assert _run(tmp_path, "decompose", "--in", pair_path) == 2
+    assert caps == [5, DEFAULT_CAP, DEFAULT_CAP]
+    assert cli._parser() is cli._parser()
+    out = capsys.readouterr().out.splitlines()
+    assert [json.loads(line)["outcome"] for line in out] == ["inconclusive", "some", "some"]
 
 
 @pytest.mark.parametrize("cap", ["0", "-5"])

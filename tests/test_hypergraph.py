@@ -531,16 +531,18 @@ def test_fractional_bound_beats_degree_bound_on_h2_q7():
 def test_inherited_bounds_are_sound():
     # a negative `_lower` entry -k is a bound a parent's fractional matching
     # proved for the child; every entry, either sign, is at most tau, and an
-    # inherited k never exceeds the child's own bound
+    # inherited k never exceeds the child's own bound.  Budgets 1 and 2 are
+    # answered by the leaf, which runs no bound pass, so the sampled queries
+    # ask at 3 and 4, on families large enough to need them
     rng = random.Random(31)
     inherited = 0
     for _ in range(80):
-        h = random_instance(rng, max_edges=10)
+        h = random_instance(rng, max_edges=30)
         m = len(h.edges)
         s = h.solver()
         cover_number(h)
-        for _ in range(3):
-            s.tau_le(rng.randrange(1, 1 << m), rng.randrange(1, 4))
+        for _ in range(6):
+            s.tau_le(rng.randrange(1, 1 << m), rng.randrange(3, 5))
         negative = []
         for U, lb in s._lower.items():
             ids = [i for i in range(m) if U >> i & 1]
@@ -596,28 +598,59 @@ def test_stored_and_reported_covers_are_checked_by_brute_force():
     assert yes >= 30
 
 
+def test_leaf_agrees_with_brute_force():
+    # budgets 1 and 2 on a fresh solver: only the leaf answers, it is exact,
+    # its yes leaves a cover of at most b vertices, and it stores nothing
+    rng = random.Random(2402)
+    answers = {True: 0, False: 0}
+    for _ in range(120):
+        h = random_instance(rng, max_edges=12)
+        m = len(h.edges)
+        s = h.solver()
+        for _ in range(6):
+            U = rng.randrange(1, 1 << m)
+            tau = brute_tau_subsets(h, [i for i in range(m) if U >> i & 1])
+            for b in (1, 2):
+                got = s.tau_le(U, b)
+                assert got == (tau <= b), (h.edges, U, b)
+                if got:
+                    assert s.found.bit_count() <= b and meets(h, s, s.found, U), (h.edges, U, b)
+                answers[got] += 1
+        assert s._lower == {} and s._exact == {0: 0}
+    assert min(answers.values()) >= 200
+
+
 def test_tau_le_reports_a_cover_on_every_kind_of_yes():
-    # edges 0, 1 share vertex 0 and edge 2 is apart: two components
-    h = make(2, 3, [(0, 3), (0, 4), (1, 5)])
+    # edges 0, 1 share vertex 0 and edges 2, 3 are apart: three components
+    h = make(2, 4, [(0, 4), (0, 5), (1, 6), (2, 7)])
     s = h.solver()
     # the empty family: the seeded entry, the empty cover
     assert s.tau_le(0, 0) and s.found == 0
-    assert not s.tau_le(0b111, 1)
+    assert not s.tau_le(0b1111, 2)
     # the split: the components' covers, stored as the family's
-    assert s.tau_le(0b111, 2)
-    assert s.found.bit_count() == 2 and meets(h, s, s.found, 0b111)
-    assert s._exact[0b111] == s.found
+    assert s.tau_le(0b1111, 3)
+    assert s.found.bit_count() == 3 and meets(h, s, s.found, 0b1111)
+    assert s._exact[0b1111] == s.found
     # an `_exact` hit: the stored cover again, and no new search
     split, entries = s.found, len(s._lower)
     s.found = 0
-    assert s.tau_le(0b111, 3) and s.found == split
+    assert s.tau_le(0b1111, 4) and s.found == split
     assert len(s._lower) == entries
-    # a branch: the child's cover plus the branch vertex
+    # the leaf (budgets 1 and 2): one or two vertices, and nothing stored
     tri = make(3, 3, [(0, 3, 6), (0, 4, 7), (1, 3, 7)])
     t = tri.solver()
     assert not t.tau_le(t.all_edges, 1)
     assert t.tau_le(t.all_edges, 2)
     assert t.found.bit_count() == 2 and meets(tri, t, t.found, t.all_edges)
+    assert t._lower == {} and t._exact == {0: 0}
+    # a branch: the child's cover plus the branch vertex; this connected
+    # path of five edges has tau 3, so it is asked above the leaf
+    walk = make(2, 3, [(0, 3), (0, 4), (1, 4), (1, 5), (2, 5)])
+    w = walk.solver()
+    assert not w.tau_le(w.all_edges, 2)
+    assert w.tau_le(w.all_edges, 3)
+    assert w.found.bit_count() == 3 and meets(walk, w, w.found, w.all_edges)
+    assert w.all_edges not in w._exact and w._lower[w.all_edges] == 3
 
 
 def test_solver_is_freed_without_the_garbage_collector():
@@ -656,16 +689,16 @@ def covered(name):
 # `_lower` entries after one cover_number on a fresh build; the counts do
 # not depend on the machine, so a weaker bound or a larger tree shows here
 LOWER_MEMO_CEILINGS = {
-    "h1(5,2)": 130,
-    "h2(5,2)": 84,
-    "h2(4,4)": 245,
-    "h1(5,3)": 617,
-    "h2(5,3)": 546,
-    "h1(5,4)": 1200,
-    "TC(7)": 452,
-    "h2(7,2)": 219,
-    "TC(9)": 4884,
-    "T(32)": 32,
+    "h1(5,2)": 49,
+    "h2(5,2)": 43,
+    "h2(4,4)": 165,
+    "h1(5,3)": 357,
+    "h2(5,3)": 414,
+    "h1(5,4)": 686,
+    "TC(7)": 371,
+    "h2(7,2)": 194,
+    "TC(9)": 4743,
+    "T(32)": 30,
 }
 
 
@@ -677,8 +710,10 @@ def test_cover_search_size_does_not_grow(name):
 @pytest.mark.parametrize("q", [16, 32])
 def test_truncated_plane_cover_takes_one_entry_per_budget(q):
     # the root's fractional bound is already q, the descent that finds a
-    # cover stores one entry a level, and the witness asks nothing more
-    assert len(covered(f"T({q})")._lower) == q
+    # cover stores one entry a level down to budget 3, the leaf answers
+    # the last two levels (budgets 2 and 1) and stores nothing, and the
+    # witness asks nothing more: q - 2 entries
+    assert len(covered(f"T({q})")._lower) == q - 2
 
 
 def reconstruction_calls(h):
@@ -716,7 +751,7 @@ def test_inherited_cut_spares_own_bound_passes():
     # entries > 0 are the nodes that ran their own bound pass (or failed a
     # search); the rest were cut by a parent's fractional matching
     lower = covered("TC(9)")._lower
-    assert sum(lb > 0 for lb in lower.values()) <= 2574
+    assert sum(lb > 0 for lb in lower.values()) <= 2424
 
 
 # `_match_memo` entries after one matching_number on a fresh build: the
@@ -819,8 +854,8 @@ def relabelled(h, seed):
 @pytest.mark.parametrize("seed", [1, 2, 3])
 @pytest.mark.parametrize("name", ["h1(5,3)", "h1(7,2)"])
 def test_relabelled_cover_search_stays_small(name, seed):
-    # `_lower` entries on seeds 1/2/3: h1(5,3) 2,649 / 2,170 / 2,682 and
-    # h1(7,2) 2,093 / 1,908 / 1,732.  Scanning U in index order left
+    # `_lower` entries on seeds 1/2/3: h1(5,3) 2,374 / 1,905 / 2,297 and
+    # h1(7,2) 1,813 / 1,639 / 1,498.  Scanning U in index order left
     # 47,764 / 185,194 / 105,560 and 109,418 / 6,573 / 167,719.
     built = covered(name)
     h = relabelled(ladder_instance(name), seed)
@@ -962,7 +997,7 @@ def test_cover_search_finds_symmetry_on_the_conic_truncations(name, order):
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_relabelled_tc9_cover_search_stays_small(seed):
-    # `_lower` entries on seeds 1/2/3: 10,421 / 9,470 / 16,570, against
+    # `_lower` entries on seeds 1/2/3: 10,164 / 9,242 / 16,235, against
     # 25 k-40 k without the orbital rule
     h = relabelled(ladder_instance("TC(9)"), seed)
     cert = cover_number(h)
