@@ -301,7 +301,10 @@ def build_h2(q: int, nu: int):
 
 
 def validate_recipe(recipe: ConstructionRecipe) -> list:
-    """Re-check every recorded constraint; returns a list of failures."""
+    """Re-check every recorded constraint; returns a list of failures and
+    raises on none.  The ids are checked to be in range and the points
+    distinct, ending the list if not, before any line is drawn through two
+    points, and the subplane closure is taken only of an arc."""
     plane = plane_build(recipe.q)
     c = recipe.chosen
     fails = []
@@ -309,7 +312,18 @@ def validate_recipe(recipe: ConstructionRecipe) -> list:
     def expect(cond, msg):
         if not cond:
             fails.append(msg)
+        return cond
 
+    names = {"h1": ("P", "Q", "R"), "h2": ("P", "Q", "T1", "T2", "T3", "S")}.get(recipe.family)
+    if names is None:
+        return [f"unknown family {recipe.family}"]
+    pts = [c[k] for k in names]
+    ids = range(len(plane.points))  # a plane has as many lines as points
+    in_range = all(i in ids for i in pts + [c["tangent_line"], c["ell_line"]])
+    if not expect(in_range, "a recorded point or line id is out of range"):
+        return fails
+    if not expect(len(set(pts)) == len(pts), f"the points {', '.join(names)} must be distinct"):
+        return fails
     conic = conic_canonical(plane)
     P, Q = c["P"], c["Q"]
     tangent = plane.lines[c["tangent_line"]]
@@ -320,32 +334,19 @@ def validate_recipe(recipe: ConstructionRecipe) -> list:
     expect(P in ell and Q not in ell, "ell must pass through P and avoid Q")
     if recipe.family == "h1":
         expect(list(conic.points) == c["conic_points"], "conic points drifted")
-        R = c["R"]
-        expect(
-            R in tangent.points and R not in (P, Q),
-            "R must lie on PQ away from P and Q",
-        )
-    elif recipe.family == "h2":
+        expect(c["R"] in tangent.points, "R must lie on PQ away from P and Q")
+    else:
         T1, T2, T3, S = c["T1"], c["T2"], c["T3"], c["S"]
-        expect(
-            T1 in tangent.points and T1 not in (P, Q),
-            "T1 must lie on PQ away from P and Q",
-        )
-        expect(is_arc(plane, (Q, T1, T2, T3)), "{Q,T1,T2,T3} is not an arc")
-        qt2 = line_through(plane, Q, T2).points
-        expect(S in qt2 and S not in (Q, T2), "S must lie on QT2 away from Q and T2")
+        expect(T1 in tangent.points, "T1 must lie on PQ away from P and Q")
+        arc = expect(is_arc(plane, (Q, T1, T2, T3)), "{Q,T1,T2,T3} is not an arc")
+        expect(S in line_through(plane, Q, T2).points, "S must lie on QT2 away from Q and T2")
         expect(P not in line_through(plane, T2, T3).points, "P must avoid the line T2T3")
-        if recipe.q == 4:
+        if recipe.q == 4 and arc:
             closure = baer_closure(plane, (Q, T1, T2, T3))
             expect(sorted(closure) == c["closure"], "recorded subplane closure drifted")
             expect(P not in closure, "P must avoid the arc's subplane closure")
             expect(S not in closure, "S must avoid the arc's subplane closure")
-            expect(
-                S not in line_through(plane, T1, T3).points,
-                "S must avoid the line T1T3",
-            )
-    else:
-        fails.append(f"unknown family {recipe.family}")
+            expect(S not in line_through(plane, T1, T3).points, "S must avoid the line T1T3")
     return fails
 
 

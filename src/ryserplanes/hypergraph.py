@@ -317,11 +317,9 @@ class _ExactSolver:
             if not U >> ei & 1:
                 continue
             roles = {}
+            # edges and vids are sorted by id, so p ascends: a role keeps its lowest p
             for p in self.edge_verts[ei]:
-                inc = self.vert_edges[p] & U
-                prev = roles.get(inc)
-                if prev is None or p < prev:
-                    roles[inc] = p
+                roles.setdefault(self.vert_edges[p] & U, p)
             if best_roles is None or len(roles) < len(best_roles):
                 best_roles = roles
                 if len(roles) == 1:

@@ -8,7 +8,7 @@ blocker containing no full line sits at q + sqrt(q) + 1 (square q, Baer
 subplanes) or 3(q+1)/2 (prime q).
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import combinations
 from math import isqrt
 
@@ -66,8 +66,8 @@ def _minimal_blockers(plane, line_ids, budget):
     block two unblocked lines, and two lines of a plane meet in exactly one
     point, so the meet of the two lowest is the only candidate.
 
-    Output sets need not be minimal and are filtered: a set is minimal iff
-    each of its points is alone on some family line.
+    Output sets need not be minimal and are filtered by `_alone`: a set is
+    minimal iff each of its points is alone on some family line.
     """
     pts_of = [sorted(plane.lines[lid].points) for lid in line_ids]
     masks = [_mask(pts) for pts in pts_of]
@@ -111,35 +111,27 @@ def _minimal_blockers(plane, line_ids, budget):
             fb |= pb
 
     dfs(0, 0, 0, (1 << len(masks)) - 1)
-    out = []
-    for ch in found:
-        pts = list(_bits(ch))
-        once = twice = 0
-        for p in pts:
-            twice |= once & on[p]
-            once |= on[p]
-        alone = once & ~twice
-        if all(on[p] & alone for p in pts):
-            out.append(tuple(pts))
-    return sorted(out), visited
+    return sorted(pts for pts in map(tuple, map(_bits, found)) if _alone(pts, on)), visited
 
 
-def _subgroup_size(q: int, n: int, d: int) -> bool:
-    # a cyclic group of order n = q +/- 1 has a subgroup of order d | n; for n = q see `_classify`
-    return n != q and n % d == 0
-
-
-def _is_line(plane, pts) -> bool:
-    """Is the point tuple a whole line?  If so, it is the line through its first two points."""
-    return len(pts) == plane.q + 1 and line_through(plane, pts[0], pts[1]).points == set(pts)
+def _alone(pts, on) -> bool:
+    """Is each point alone on some family line, `on[p]` being the mask of
+    the family lines through p?  For a blocker of the family, that is minimality."""
+    once = twice = 0
+    for p in pts:
+        twice |= once & on[p]
+        once |= on[p]
+    alone = once & ~twice
+    return all(on[p] & alone for p in pts)
 
 
 def _classify(plane, conic, pts) -> str:
-    if _is_line(plane, pts):
+    q = plane.q
+    # a whole line is the line through its first two points
+    if len(pts) == q + 1 and line_through(plane, pts[0], pts[1]).points == set(pts):
         return "line"
     fs = frozenset(pts)
     cset = frozenset(conic.points)
-    q = plane.q
     if fs == cset:
         return "conic"
     if len(fs) == q + 1:
@@ -158,7 +150,9 @@ def _classify(plane, conic, pts) -> str:
             # order d >= 2 is q, and trading C - line for line - C gives the line.
             for line in plane.lines:
                 if s2 <= line.points - cset and not s1 & line.points:
-                    if _subgroup_size(q, len(cset - line.points), len(s1)):
+                    # a cyclic group of order n = q +/- 1 has a subgroup of order d | n
+                    n = len(cset - line.points)
+                    if n != q and n % len(s1) == 0:
                         return "conic_swap"
     root = isqrt(q)
     if root * root == q and root > 1 and len(fs) == q + root + 1:
@@ -168,28 +162,26 @@ def _classify(plane, conic, pts) -> str:
     return "other"
 
 
-def _report(q, target, budget, keep, lines=None) -> BlockerReport:
-    """One pass at the budget over the lines whose class against the conic
-    is in `lines` (every line if None); the kept minimal blockers of least
-    size, with their classes."""
-    plane = plane_build(q)
-    conic = conic_canonical(plane)
-    fam = [ln.id for ln in plane.lines if lines is None or classify_line(conic, ln) in lines]
-    blockers, visited = _minimal_blockers(plane, fam, budget)
-    kept = [b for b in blockers if keep(plane, b)]
-    if not kept:
+def _report(plane, target, budget, found, visited) -> BlockerReport:
+    """The report on one search's minimal blockers `found` (ascending
+    point-id tuples): those of least size, in their order, each with its
+    class against the canonical conic; `RuntimeError` if there are none."""
+    if not found:
         raise RuntimeError(f"no {target} blocker of at most {budget} points")
-    minimum = min(len(b) for b in kept)
-    at_min = [b for b in kept if len(b) == minimum]
+    minimum = min(map(len, found))
+    at_min = tuple(b for b in found if len(b) == minimum)
+    conic = conic_canonical(plane)
     classes = tuple(_classify(plane, conic, b) for b in at_min)
-    return BlockerReport(q, target, minimum, len(at_min), tuple(at_min), classes, visited)
+    return BlockerReport(plane.q, target, minimum, len(at_min), at_min, classes, visited)
 
 
 def min_blocking_sets(q: int) -> BlockerReport:
     """Minimum blockers of every line; the floor is q+1, reached by lines."""
     if q > 5:
         raise SearchTooLarge(f"all-lines blocker search is capped at q = 5, got {q}")
-    return _report(q, "all_lines", q + 1, lambda plane, b: True)
+    plane = plane_build(q)
+    lines = range(len(plane.lines))
+    return _report(plane, "all_lines", q + 1, *_minimal_blockers(plane, lines, q + 1))
 
 
 def classify_conic_blockers(q: int) -> BlockerReport:
@@ -213,7 +205,10 @@ def classify_conic_blockers(q: int) -> BlockerReport:
         raise NotOddPrime(f"conic blocker classification needs an odd prime, got {q}")
     if q > 5:
         raise SearchTooLarge(f"conic blocker search is capped at q = 5, got {q}")
-    return _report(q, "tangent_secant", q + 1, lambda plane, b: True, ("tangent", "secant"))
+    plane = plane_build(q)
+    conic = conic_canonical(plane)
+    fam = [ln.id for ln in plane.lines if classify_line(conic, ln) in ("tangent", "secant")]
+    return _report(plane, "tangent_secant", q + 1, *_minimal_blockers(plane, fam, q + 1))
 
 
 def min_nontrivial_blocking(q: int) -> BlockerReport:
@@ -228,26 +223,25 @@ def min_nontrivial_blocking(q: int) -> BlockerReport:
 
     The search runs only through the frame triangle F = {(0:0:1), (0:1:0),
     (1:0:0)}: one `_minimal_blockers` call over the lines that miss F, at
-    budget - 3, and S + F is kept when each of its points is alone on some
-    line.  That is every minimal blocker B that holds F: each point of
-    B - F has a line meeting B in it alone, that line misses F, so B - F is
-    a minimal blocker of the lines off F.  The minimum is the least kept
-    size, and the kept sets of that size are the representatives.
+    budget - 3, and S + F is kept when `_alone` finds each of its points
+    alone on some line.  That is every minimal blocker B that holds F:
+    each point of B - F has a line meeting B in it alone, that line misses
+    F, so B - F is a minimal blocker of the lines off F.
 
-    Every other smallest blocker is the image of a representative under a
-    collineation taking one of its non-collinear triples to F, so the
-    report lists the closure of the representatives under `_GENERATORS`,
-    each blocker held as the bytes of its ascending point ids; bytes of one
-    length sort as the point tuples do.  That needs the generators to be
-    transitive on non-collinear triples, and `_collineations` checks it at
-    run time, raising `RuntimeError` rather than returning a short list.
+    `_report` takes the kept sets as a search's blockers: its smallest are
+    the representatives, the only sets classified.  Every other smallest
+    blocker is the image of one under a collineation taking a non-collinear
+    triple of it to F, so the report is `_report`'s with its list replaced
+    by the representatives' closure under `_GENERATORS`, each image held as
+    the bytes of its ascending point ids (sorting as the point tuples do)
+    with its representative's label.  `_collineations` checks at run time
+    that the generators are transitive on non-collinear triples, raising
+    `RuntimeError` rather than returning a short list.
 
-    Only the representatives are classified, and each image carries its
-    representative's label.  Past q + 1 points `_classify` answers only
-    `baer_subplane` or `other`, read off `is_arc` and `baer_closure`, which
-    every collineation keeps; the (q+1)-point labels depend on the fixed
-    conic, so a minimum of q + 1 or less raises `RuntimeError`.  `visited`
-    counts the nodes of the frame search.
+    Past q + 1 points the labels are `baer_subplane` or `other`, read off
+    `is_arc` and `baer_closure`, which every collineation keeps; those of
+    q + 1 points depend on the fixed conic, so a minimum of q + 1 or less
+    raises `RuntimeError`.  `visited` counts the frame search's nodes.
     """
     if q not in (3, 4, 5, 7):
         raise SearchTooLarge(f"nontrivial blocker search runs for q in 3, 4, 5 and 7, got {q}")
@@ -257,28 +251,15 @@ def min_nontrivial_blocking(q: int) -> BlockerReport:
     off = [ln.id for ln in plane.lines if not ln.points.intersection(frame)]
     found, visited = _minimal_blockers(plane, off, budget - 3)
     through = [_mask(ln.points) for ln in plane.lines]  # p -> lines through p, by duality
-    kept = []
-    for s in found:
-        pts = frame + s
-        once = twice = 0
-        for p in pts:
-            twice |= once & through[p]
-            once |= through[p]
-        alone = once & ~twice
-        if all(through[p] & alone for p in pts):
-            kept.append(bytes(sorted(pts)))
-    if not kept:
-        raise RuntimeError(f"no nontrivial blocker of at most {budget} points")
-    minimum = min(map(len, kept))
-    if minimum <= q + 1:  # the (q+1)-point labels depend on the conic
-        raise RuntimeError(f"a nontrivial blocker of {minimum} points, at most q + 1 = {q + 1}")
-    conic = conic_canonical(plane)
-    labels = {b: _classify(plane, conic, tuple(b)) for b in kept if len(b) == minimum}
-    closed = _closure(_collineations(plane, frame), labels)
-    keys = sorted(closed)
-    blockers = tuple(map(tuple, keys))
-    classes = tuple(closed[b] for b in keys)
-    return BlockerReport(q, "nontrivial", minimum, len(blockers), blockers, classes, visited)
+    kept = [tuple(sorted(frame + s)) for s in found if _alone(frame + s, through)]
+    reps = _report(plane, "nontrivial", budget, kept, visited)
+    if reps.minimum <= q + 1:  # the (q+1)-point labels depend on the conic
+        raise RuntimeError(f"a nontrivial blocker of {reps.minimum} points, at most q + 1")
+    seeds = dict(zip(map(bytes, reps.blockers), reps.classes))
+    closed = _closure(_collineations(plane, frame), seeds)
+    keys = sorted(closed)  # bytes sort faster than (bytes, label) pairs
+    classes = tuple(map(closed.get, keys))
+    return replace(reps, count=len(keys), blockers=tuple(map(tuple, keys)), classes=classes)
 
 
 # the collineations the nontrivial report closes under, as matrices in the

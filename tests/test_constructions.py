@@ -1,4 +1,5 @@
 import hashlib
+from dataclasses import replace
 from itertools import combinations
 
 import pytest
@@ -22,7 +23,7 @@ from ryserplanes.errors import (
     NuTooSmall,
     QTooSmall,
 )
-from ryserplanes.geometry import is_arc, plane_build
+from ryserplanes.geometry import is_arc, line_through, plane_build
 from ryserplanes.hypergraph import (
     is_ryser,
     restrict,
@@ -235,6 +236,70 @@ def test_h2_general_nu_builds_and_validates():
     assert validate_partite(h).ok
     assert validate_recipe(recipe) == []
     assert len(recipe.chosen["edge_classes"]) == 3
+
+
+# (name, family, tampering of `chosen` given the plane, failures it must
+# include).  h2(4, 2) has Q, P, T1, T2, T3, S = 0, 1, 2, 5, 11, 6 (pinned
+# above): PQ = {0..4}, QT2 = {0, 5, 6, 7, 8}, T2T3 = {3, 5, 11, 16, 18},
+# T1T3 = {2, 8, 11, 14, 17} and the closure {0, 2, 3, 5, 8, 10, 11}.
+# h1(3, 2) has Q, P, R = 0, 1, 2 and PQ = {0..3}.
+TAMPERINGS = [
+    ("tangent-line-too-large", "h2", lambda pl, c: {"tangent_line": 10 ** 6},
+     ["a recorded point or line id is out of range"]),
+    ("negative-point", "h2", lambda pl, c: {"P": -1},
+     ["a recorded point or line id is out of range"]),
+    ("negative-line", "h1", lambda pl, c: {"ell_line": -1},
+     ["a recorded point or line id is out of range"]),
+    ("point-past-the-plane", "h1", lambda pl, c: {"R": len(pl.points)},
+     ["a recorded point or line id is out of range"]),
+    ("t3-is-t2", "h2", lambda pl, c: {"T3": c["T2"]},
+     ["the points P, Q, T1, T2, T3, S must be distinct"]),
+    ("r-is-p", "h1", lambda pl, c: {"R": c["P"]},
+     ["the points P, Q, R must be distinct"]),
+    ("tangent-is-ell", "h2", lambda pl, c: {"tangent_line": c["ell_line"]},
+     ["Q not on the recorded tangent line"]),
+    ("tangent-is-qt2", "h2", lambda pl, c: {"tangent_line": line_through(pl, c["Q"], c["T2"]).id},
+     ["P not on the recorded tangent line"]),
+    ("tangent-is-a-secant", "h1",
+     lambda pl, c: {"tangent_line": line_through(pl, *c["conic_points"][1:3]).id},
+     ["recorded PQ line is not tangent"]),
+    ("ell-is-pq", "h1", lambda pl, c: {"ell_line": c["tangent_line"]},
+     ["ell must pass through P and avoid Q"]),
+    ("conic-reversed", "h1", lambda pl, c: {"conic_points": c["conic_points"][::-1]},
+     ["conic points drifted"]),
+    ("r-off-pq", "h1", lambda pl, c: {"R": 4},
+     ["R must lie on PQ away from P and Q"]),
+    ("t1-off-pq", "h2", lambda pl, c: {"T1": 9},
+     ["T1 must lie on PQ away from P and Q"]),
+    ("t3-on-pq", "h2", lambda pl, c: {"T3": 3},
+     ["{Q,T1,T2,T3} is not an arc"]),
+    ("s-off-qt2", "h2", lambda pl, c: {"S": 9},
+     ["S must lie on QT2 away from Q and T2"]),
+    ("p-on-t2t3", "h2", lambda pl, c: {"P": 16},
+     ["P must avoid the line T2T3"]),
+    ("closure-short", "h2", lambda pl, c: {"closure": c["closure"][:-1]},
+     ["recorded subplane closure drifted"]),
+    ("p-in-closure", "h2", lambda pl, c: {"P": 3},
+     ["P must avoid the arc's subplane closure"]),
+    ("s-in-closure-on-t1t3", "h2", lambda pl, c: {"S": 8},
+     ["S must avoid the arc's subplane closure", "S must avoid the line T1T3"]),
+]
+
+
+@pytest.mark.parametrize(
+    "family,tamper,wanted", [t[1:] for t in TAMPERINGS], ids=[t[0] for t in TAMPERINGS]
+)
+def test_tampered_recipe_is_reported_not_raised(h1_32, h2_42, family, tamper, wanted):
+    _, recipe = h1_32 if family == "h1" else h2_42
+    chosen = {**recipe.chosen, **tamper(plane_build(recipe.q), recipe.chosen)}
+    fails = validate_recipe(replace(recipe, chosen=chosen))
+    assert fails
+    assert set(wanted) <= set(fails)
+
+
+def test_unknown_family_is_reported(h1_32):
+    _, recipe = h1_32
+    assert validate_recipe(replace(recipe, family="h3")) == ["unknown family h3"]
 
 
 # ---- frozen builder output ----

@@ -97,6 +97,59 @@ def test_each_report_is_one_search(monkeypatch, kind, q, visited, digest):
     assert len(budgets) == 1
 
 
+@pytest.mark.parametrize("kind,q", [("blocking", 3), ("conic-blockers", 3), ("nontrivial", 3)])
+def test_each_report_has_one_body(monkeypatch, kind, q):
+    # every report, the nontrivial one included, is built by one `_report`
+    expected = report(kind, q)
+    calls = []
+    report_body = oracles._report
+
+    def counted(*args):
+        calls.append(args[1])
+        return report_body(*args)
+
+    monkeypatch.setattr(oracles, "_report", counted)
+    assert SEARCHES[kind](q) == expected
+    assert calls == [expected.target]
+
+
+def random_point_sets(plane, rng, draws):
+    """Random point sets of every size, a third of them holding a full
+    line, each with the minimal blocker a random pruning of it leaves when
+    it blocks every line."""
+    n = len(plane.points)
+    every = range(len(plane.lines))
+    for _ in range(draws):
+        pts = set(rng.sample(range(n), rng.randrange(1, n + 1)))
+        if rng.randrange(3) == 0:
+            pts |= plane.lines[rng.randrange(len(plane.lines))].points
+        yield tuple(sorted(pts))
+        if blocks_all(plane, pts, every):
+            for p in rng.sample(sorted(pts), len(pts)):
+                if blocks_all(plane, pts - {p}, every):
+                    pts.discard(p)
+            yield tuple(sorted(pts))
+
+
+@pytest.mark.parametrize("q", [3, 4])
+def test_alone_is_minimality_over_every_line(q):
+    # `_alone` is the one minimality test of both filters; on a blocker of
+    # every line it must say what the set-based `is_minimal_blocker` says
+    plane = plane_build(q)
+    every = range(len(plane.lines))
+    on = [0] * len(plane.points)  # point -> mask of the lines through it
+    for line in plane.lines:
+        for p in line.points:
+            on[p] |= 1 << line.id
+    verdicts = Counter()
+    for pts in random_point_sets(plane, random.Random(q), 400):
+        want = is_minimal_blocker(plane, pts, every)
+        assert (blocks_all(plane, pts, every) and oracles._alone(pts, on)) == want
+        verdicts[blocks_all(plane, pts, every), want] += 1
+    # non-blockers, blockers with a spare point and minimal ones all occur
+    assert set(verdicts) == {(False, False), (True, False), (True, True)}
+
+
 @pytest.mark.parametrize(
     "q,counts",
     [
