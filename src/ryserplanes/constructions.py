@@ -13,9 +13,10 @@ below is a point or line id and the output is identical across runs:
                     positional vectors.
 
 `_glue` owns the gluing shared by H1 and H2: the vertex map, plane 1 (the
-lines avoiding {Q1, P} plus the line ell through P), the two stitched edges
-per later plane, the edge classes and the common recipe keys; each builder
-supplies only its later-plane lines and stitch points.  The glued families
+lines avoiding {Q1, P} plus the line ell through P) and the two stitched
+edges per later plane, laid out by `_gluing`, which also gives the edge
+classes and the common recipe keys; each builder supplies only its
+later-plane lines and stitch points.  The glued families
 share exactly one vertex between plane 1 and each later plane: the common
 point P.  Sides are the pencils through the deleted points, paired across
 planes, with the P-side first.
@@ -121,6 +122,43 @@ def _anchors(plane: ProjectivePlane):
     )
 
 
+def _gluing(plane: ProjectivePlane, nu: int, n_later: int):
+    """What `_glue` lays out for nu planes whose later ones carry n_later
+    lines each, before any edge is drawn: (side_of, plane 1's lines, the
+    recipe keys of the gluing).  The keys are the anchors, the sides, and
+    where each plane's edges, its stitched edges and its extra vertex go."""
+    Q, P, tangent, ell = _anchors(plane)
+    side_of, side_lines = _pencil_sides(plane, Q, tangent)
+    n = len(plane.points)
+    plane1 = sorted((set(range(n)) - plane.lines_through(Q) - plane.lines_through(P)) | {ell})
+    plane_edges = {"1": [0, len(plane1)]}
+    e1_edges, e2_edges, extra = {}, {}, {}
+    for i in range(2, nu + 1):
+        k = str(i)
+        start = len(plane1) + (i - 2) * (n_later + 2)
+        plane_edges[k] = [start, start + n_later]
+        e1_edges[k] = start + n_later
+        e2_edges[k] = start + n_later + 1
+        # plane 1 has every point but Q, each later plane every point but Q and P
+        extra[k] = n - 1 + (nu - 1) * (n - 2) + i - 2
+    classes = [list(range(len(plane1))) + list(e1_edges.values())]
+    for k in e2_edges:
+        classes.append(list(range(*plane_edges[k])) + [e2_edges[k]])
+    keys = {
+        "P": P,
+        "Q": Q,
+        "ell_line": ell,
+        "tangent_line": tangent,
+        "side_lines": list(side_lines),
+        "plane_edges": plane_edges,
+        "e1_edges": e1_edges,
+        "e2_edges": e2_edges,
+        "extra_vertices": extra,
+        "edge_classes": classes,
+    }
+    return side_of, plane1, keys
+
+
 def _glue(family, plane: ProjectivePlane, nu: int, lines, e1_point, e2_points, chosen):
     """Glue nu copies of `plane` at P; returns (hypergraph, recipe).
 
@@ -130,10 +168,10 @@ def _glue(family, plane: ProjectivePlane, nu: int, lines, e1_point, e2_points, c
     by e1 = (ell - {P}) + e1_point and e2 = e2_points + v_i, both points
     taken in plane i.  The extra vertices v_i go last, on the P-side.
     Classes: plane 1 with every e1, then each later plane with its e2.
-    The recipe is `chosen` plus the choices and bookkeeping made here.
+    The recipe is `chosen` plus the keys `_gluing` lays out.
     """
-    Q, P, tangent, ell = _anchors(plane)
-    side_of, side_lines = _pencil_sides(plane, Q, tangent)
+    side_of, plane1, keys = _gluing(plane, nu, len(lines))
+    Q, P, extra = keys["Q"], keys["P"], keys["extra_vertices"]
     verts = []
     vmap = {}  # (plane index, point id) -> vertex id
     for i in range(1, nu + 1):
@@ -142,52 +180,40 @@ def _glue(family, plane: ProjectivePlane, nu: int, lines, e1_point, e2_points, c
                 continue
             vmap[(i, pid)] = len(verts)
             verts.append(Vertex(len(verts), f"p{i}:{_coords_str(point.coords)}", side_of[pid]))
-    extra = {}
-    for i in range(2, nu + 1):
-        extra[str(i)] = len(verts)
-        verts.append(Vertex(len(verts), f"v{i}", 0))
+    verts += [Vertex(vid, f"v{k}", 0) for k, vid in extra.items()]
 
     def edge(i, pids):
         return [vmap[(1 if pid == P else i, pid)] for pid in pids]
 
-    plane1 = [line.id for line in plane.lines if not {Q, P} & line.points]
-    edges = [edge(1, plane.lines[lid].points) for lid in sorted(plane1 + [ell])]
-    plane_edges = {"1": [0, len(edges)]}
-    e1_edges = {}
-    e2_edges = {}
-    ell_rest = edge(1, plane.lines[ell].points - {P})
+    edges = [edge(1, plane.lines[lid].points) for lid in plane1]
+    ell_rest = edge(1, plane.lines[keys["ell_line"]].points - {P})
     for i in range(2, nu + 1):
-        k = str(i)
-        start = len(edges)
         edges += [edge(i, plane.lines[lid].points) for lid in lines]
-        plane_edges[k] = [start, len(edges)]
-        e1_edges[k] = len(edges)
         edges.append(ell_rest + edge(i, [e1_point]))
-        e2_edges[k] = len(edges)
-        edges.append(edge(i, e2_points) + [extra[k]])
-    classes = [list(range(*plane_edges["1"])) + list(e1_edges.values())]
-    for k in e2_edges:
-        classes.append(list(range(*plane_edges[k])) + [e2_edges[k]])
-
-    recipe = ConstructionRecipe(
-        family=family,
-        q=plane.q,
-        nu=nu,
-        chosen={
-            **chosen,
-            "P": P,
-            "Q": Q,
-            "ell_line": ell,
-            "tangent_line": tangent,
-            "side_lines": list(side_lines),
-            "plane_edges": plane_edges,
-            "e1_edges": e1_edges,
-            "e2_edges": e2_edges,
-            "extra_vertices": extra,
-            "edge_classes": classes,
-        },
-    )
+        edges.append(edge(i, e2_points) + [extra[str(i)]])
+    recipe = ConstructionRecipe(family=family, q=plane.q, nu=nu, chosen={**chosen, **keys})
     return Hypergraph(plane.q + 1, verts, edges), recipe
+
+
+def _glued_plane(family, q: int, nu: int) -> ProjectivePlane:
+    """The plane of the glued family `family` ("h1" or "h2") at order q with
+    nu planes; raises the builder's error on an order or nu it cannot take."""
+    if family == "h1":
+        if q > MAX_ORDER:  # before factoring, which takes sqrt(q) steps
+            raise NotPrimePower(f"order {q} exceeds the supported cap {MAX_ORDER}")
+        if q % 2 == 0 or _prime_power(q) != (q, 1):
+            raise NotOddPrime(f"q={q}: the cover argument needs an odd prime order")
+    elif q < 4:
+        raise QTooSmall(f"q={q}: the arc construction needs q >= 4")
+    if nu < 2:
+        raise NuTooSmall(f"nu={nu}: at least two glued planes required")
+    return plane_build(q)  # NotPrimePower for bad q
+
+
+def _h1_lines(plane: ProjectivePlane, Q: int, conic):
+    """C' = C - {Q} and the lines of each later H1 plane: those off Q meeting C'."""
+    cprime = set(conic.points) - {Q}
+    return cprime, sorted(set().union(*map(plane.lines_through, cprime)) - plane.lines_through(Q))
 
 
 def build_h1(q: int, nu: int):
@@ -203,21 +229,24 @@ def build_h1(q: int, nu: int):
     build_h1(3, 3).  The gluing of the paper's family for nu >= 3 is not
     recorded here; until it is, this builder is that family only for nu = 2.
     """
-    if q > MAX_ORDER:  # before factoring, which takes sqrt(q) steps
-        raise NotPrimePower(f"order {q} exceeds the supported cap {MAX_ORDER}")
-    if q % 2 == 0 or _prime_power(q) != (q, 1):
-        raise NotOddPrime(f"q={q}: the cover argument needs an odd prime order")
-    if nu < 2:
-        raise NuTooSmall(f"nu={nu}: at least two glued planes required")
-    plane = plane_build(q)
+    plane = _glued_plane("h1", q, nu)
     Q, P, tangent, _ = _anchors(plane)
     conic = conic_canonical(plane)
-    cprime = set(conic.points) - {Q}
     # R: least point of the line PQ besides P and Q
     R = min(plane.lines[tangent].points - {P, Q})
-    lines = [line.id for line in plane.lines if Q not in line.points and cprime & line.points]
+    cprime, lines = _h1_lines(plane, Q, conic)
     chosen = {"R": R, "conic_points": list(conic.points)}
     return _glue("h1", plane, nu, lines, R, cprime, chosen)
+
+
+def _s_candidates(plane: ProjectivePlane, Q: int, T1: int, T2: int, T3: int, closure):
+    """The points S may take for the arc {Q, T1, T2, T3}: those of QT2 off
+    {Q, T2}, and for q = 4 also off the arc's subplane `closure` and T1T3."""
+    on_qt2 = sorted(line_through(plane, Q, T2).points - {Q, T2})
+    if plane.q != 4:
+        return on_qt2
+    t1t3 = line_through(plane, T1, T3).points
+    return [S for S in on_qt2 if S not in closure and S not in t1t3]
 
 
 def _h2_arc_points(plane: ProjectivePlane, Q: int, P: int, tangent: int):
@@ -236,7 +265,6 @@ def _h2_arc_points(plane: ProjectivePlane, Q: int, P: int, tangent: int):
         for T2 in range(n):
             if T2 in (P, Q, T1) or T2 in pq_points:
                 continue
-            qt2 = line_through(plane, Q, T2).points
             for T3 in range(n):
                 if T3 in (P, Q, T1, T2):
                     continue
@@ -249,15 +277,22 @@ def _h2_arc_points(plane: ProjectivePlane, Q: int, P: int, tangent: int):
                     closure = baer_closure(plane, (Q, T1, T2, T3))
                     if P in closure:
                         continue
-                t1t3 = line_through(plane, T1, T3).points
-                s_candidates = []
-                for S in sorted(qt2 - {Q, T2}):
-                    if q == 4 and (S in closure or S in t1t3):
-                        continue
-                    s_candidates.append(S)
+                s_candidates = _s_candidates(plane, Q, T1, T2, T3, closure)
                 if s_candidates:
                     return T1, T2, T3, s_candidates, closure
     raise InfeasibleChoice(f"no (T1,T2,T3,S) tuple exists at q={q}")
+
+
+def _h2_lines(plane: ProjectivePlane, P: int, Q: int, T1: int, T2: int, T3: int, S: int):
+    """The named lines T1T2, T1S and PT3, and the lines of each later H2
+    plane: those three and every line off the arc {Q, T1, T2, T3}."""
+    named = {
+        "T1T2": line_through(plane, T1, T2).id,
+        "T1S": line_through(plane, T1, S).id,
+        "PT3": line_through(plane, P, T3).id,
+    }
+    off_arc = set(range(len(plane.lines))).difference(*map(plane.lines_through, (Q, T1, T2, T3)))
+    return named, sorted(off_arc | set(named.values()))
 
 
 def build_h2(q: int, nu: int):
@@ -270,24 +305,12 @@ def build_h2(q: int, nu: int):
     even nu = 2 is decomposable: plane 1's edges and the later plane's
     lines off P, with e2, are disjoint intersecting families of tau = q.
     """
-    if q < 4:
-        raise QTooSmall(f"q={q}: the arc construction needs q >= 4")
-    if nu < 2:
-        raise NuTooSmall(f"nu={nu}: at least two glued planes required")
-    plane = plane_build(q)  # NotPrimePower for bad q
+    plane = _glued_plane("h2", q, nu)
     Q, P, tangent, _ = _anchors(plane)
     T1, T2, T3, s_candidates, closure = _h2_arc_points(plane, Q, P, tangent)
     S = s_candidates[0]
-    arc = {Q, T1, T2, T3}
-
-    t1t2 = line_through(plane, T1, T2).id
-    t1s = line_through(plane, T1, S).id
-    pt3 = line_through(plane, P, T3).id
-    lines = sorted(
-        {t1t2, t1s, pt3}
-        | {line.id for line in plane.lines if not arc & line.points}
-    )
-    e2_points = (plane.lines[t1t2].points - {T1, T2}) | {S}
+    named, lines = _h2_lines(plane, P, Q, T1, T2, T3, S)
+    e2_points = (plane.lines[named["T1T2"]].points - {T1, T2}) | {S}
     chosen = {
         "T1": T1,
         "T2": T2,
@@ -295,18 +318,31 @@ def build_h2(q: int, nu: int):
         "S": S,
         "S_candidates": list(s_candidates),
         "closure": sorted(closure) if closure is not None else None,
-        "lines": {"T1T2": t1t2, "T1S": t1s, "PT3": pt3},
+        "lines": named,
     }
     return _glue("h2", plane, nu, lines, T1, e2_points, chosen)
 
 
 def validate_recipe(recipe: ConstructionRecipe) -> list:
     """Re-check every recorded constraint; returns a list of failures and
-    raises on none.  The ids are checked to be in range and the points
-    distinct, ending the list if not, before any line is drawn through two
-    points, and the subplane closure is taken only of an arc."""
-    plane = plane_build(recipe.q)
+    raises on none.  An unknown family, an order or nu its builder refuses,
+    or a missing point or line ends the list at once.  The ids are checked
+    to be in range and the points distinct, ending the list if not, before
+    any line is drawn through two points, and the subplane closure is taken
+    only of an arc.  Every other key is re-derived from the recorded points
+    through the builders' own helpers, without building the hypergraph, and
+    each one that differs is reported."""
+    names = {"h1": ("P", "Q", "R"), "h2": ("P", "Q", "T1", "T2", "T3", "S")}.get(recipe.family)
+    if names is None:
+        return [f"unknown family {recipe.family}"]
+    try:
+        plane = _glued_plane(recipe.family, recipe.q, recipe.nu)
+    except ValueError as e:
+        return [str(e)]
     c = recipe.chosen
+    missing = [k for k in names + ("tangent_line", "ell_line") if k not in c]
+    if missing:
+        return [f"recorded {k} is missing" for k in missing]
     fails = []
 
     def expect(cond, msg):
@@ -314,12 +350,10 @@ def validate_recipe(recipe: ConstructionRecipe) -> list:
             fails.append(msg)
         return cond
 
-    names = {"h1": ("P", "Q", "R"), "h2": ("P", "Q", "T1", "T2", "T3", "S")}.get(recipe.family)
-    if names is None:
-        return [f"unknown family {recipe.family}"]
     pts = [c[k] for k in names]
     ids = range(len(plane.points))  # a plane has as many lines as points
-    in_range = all(i in ids for i in pts + [c["tangent_line"], c["ell_line"]])
+    # 5.0 is in range(n) but indexes no list
+    in_range = all(type(i) is int and i in ids for i in pts + [c["tangent_line"], c["ell_line"]])
     if not expect(in_range, "a recorded point or line id is out of range"):
         return fails
     if not expect(len(set(pts)) == len(pts), f"the points {', '.join(names)} must be distinct"):
@@ -333,20 +367,34 @@ def validate_recipe(recipe: ConstructionRecipe) -> list:
     ell = plane.lines[c["ell_line"]].points
     expect(P in ell and Q not in ell, "ell must pass through P and avoid Q")
     if recipe.family == "h1":
-        expect(list(conic.points) == c["conic_points"], "conic points drifted")
+        expect(list(conic.points) == c.get("conic_points"), "conic points drifted")
         expect(c["R"] in tangent.points, "R must lie on PQ away from P and Q")
+        _, lines = _h1_lines(plane, Q, conic)
     else:
         T1, T2, T3, S = c["T1"], c["T2"], c["T3"], c["S"]
         expect(T1 in tangent.points, "T1 must lie on PQ away from P and Q")
         arc = expect(is_arc(plane, (Q, T1, T2, T3)), "{Q,T1,T2,T3} is not an arc")
         expect(S in line_through(plane, Q, T2).points, "S must lie on QT2 away from Q and T2")
         expect(P not in line_through(plane, T2, T3).points, "P must avoid the line T2T3")
+        named, lines = _h2_lines(plane, P, Q, T1, T2, T3, S)
+        expect(c.get("lines") == named, "recorded lines does not match its points")
+        closure = None
         if recipe.q == 4 and arc:
             closure = baer_closure(plane, (Q, T1, T2, T3))
-            expect(sorted(closure) == c["closure"], "recorded subplane closure drifted")
+            expect(sorted(closure) == c.get("closure"), "recorded subplane closure drifted")
             expect(P not in closure, "P must avoid the arc's subplane closure")
             expect(S not in closure, "S must avoid the arc's subplane closure")
             expect(S not in line_through(plane, T1, T3).points, "S must avoid the line T1T3")
+        elif recipe.q != 4:
+            expect(c.get("closure") is None, "recorded subplane closure drifted")
+        if recipe.q != 4 or arc:
+            # S heads the candidates the build was handed: all that pass, or some, in order
+            passing = iter(_s_candidates(plane, Q, T1, T2, T3, closure))
+            cands = c.get("S_candidates")
+            ok = isinstance(cands, list) and cands[:1] == [S] and all(s in passing for s in cands)
+            expect(ok, "recorded S_candidates does not match its points")
+    for key, value in _gluing(plane, recipe.nu, len(lines))[2].items():
+        expect(c.get(key) == value, f"recorded {key} does not match its points")
     return fails
 
 

@@ -20,6 +20,8 @@ one is a field.  So the candidates are tabulated in lex order and the first
 table free of zero divisors fixes the modulus.
 """
 
+from itertools import product
+
 from .errors import NotPrimePower
 
 # All the orders that matter here are tiny; the cap keeps the q*q tables honest.
@@ -43,18 +45,6 @@ def _prime_power(q):
         n //= p
         k += 1
     return (p, k) if n == 1 else None
-
-
-def _monic_polys(p, deg):
-    """All monic polynomials of the given degree, in lex order (low degree first)."""
-    for n in range(p ** deg):
-        coeffs = []
-        m = n
-        for _ in range(deg):
-            coeffs.append(m % p)
-            m //= p
-        coeffs.reverse()
-        yield coeffs + [1]
 
 
 def _add_table(p, q):
@@ -104,7 +94,9 @@ class FieldSpec:
         self.p, self.k = pk
         self.q = q
         self._add = _add_table(self.p, q)
-        for self.modulus in _monic_polys(self.p, self.k):
+        # the monic candidates of degree k in lex order, low degree first
+        for low in product(range(self.p), repeat=self.k):
+            self.modulus = [*low, 1]
             self._mul = _mul_table(self._add, self.p, self.modulus)
             if self._mul:
                 break

@@ -234,9 +234,9 @@ def min_nontrivial_blocking(q: int) -> BlockerReport:
     triple of it to F, so the report is `_report`'s with its list replaced
     by the representatives' closure under `_GENERATORS`, each image held as
     the bytes of its ascending point ids (sorting as the point tuples do)
-    with its representative's label.  `_collineations` checks at run time
-    that the generators are transitive on non-collinear triples, raising
-    `RuntimeError` rather than returning a short list.
+    with its representative's label.  Two generators reach SL(3, q), and
+    `_collineations` checks at run time that they are transitive on
+    non-collinear triples, raising `RuntimeError` rather than a short list.
 
     Past q + 1 points the labels are `baer_subplane` or `other`, read off
     `is_arc` and `baer_closure`, which every collineation keeps; those of
@@ -262,19 +262,18 @@ def min_nontrivial_blocking(q: int) -> BlockerReport:
     return replace(reps, count=len(keys), blockers=tuple(map(tuple, keys)), classes=classes)
 
 
-# the collineations the nontrivial report closes under, as matrices in the
-# field's first element w of order q - 1: the coordinate cycle, the
-# transvection x0 += x1 and diag(w, 1, 1)
+# the collineations the nontrivial report closes under, in w = x (element p)
+# or 1 at prime q: (x0 : x1 : x2) -> (x1 : x2 : w x0) and x0 += x1 give SL(3, q)
+# since GF(p)[w] = GF(q) (Taylor 1992), but exactness rests on the orbit check
 _GENERATORS = (
-    lambda w: ((0, 1, 0), (0, 0, 1), (1, 0, 0)),
+    lambda w: ((0, 1, 0), (0, 0, 1), (w, 0, 0)),
     lambda w: ((1, 1, 0), (0, 1, 0), (0, 0, 1)),
-    lambda w: ((w, 0, 0), (0, 1, 0), (0, 0, 1)),
 )
 
 
 def _collineations(plane, frame):
-    """Each generator's point permutation as a 256-byte `bytes.translate`
-    table (q <= 7 gives at most 57 points, so every id is one byte).
+    """Each generator's point permutation, w generating GF(q) over GF(p), as
+    a 256-byte `bytes.translate` table (q <= 7: at most 57 points, 1 byte each).
 
     Raises `RuntimeError` unless every generator is a bijection of the
     points that maps each line onto a line, and the orbit of the frame
@@ -284,7 +283,7 @@ def _collineations(plane, frame):
     """
     field, q, n = plane.field, plane.q, len(plane.points)
     add, mul = field._add, field._mul
-    w = next(a for a in range(1, q) if _order(mul, a) == q - 1)
+    w = field.p if field.k > 1 else 1
     tables = []
     for rows in (gen(w) for gen in _GENERATORS):
         images = [
@@ -303,13 +302,6 @@ def _collineations(plane, frame):
     if len(_closure(tables, {bytes(frame): None})) != n * (n - 1) * (n - q - 1) // 6:
         raise RuntimeError(f"the generators are not transitive on the triangles of PG(2,{q})")
     return tables
-
-
-def _order(mul, a):
-    x, k = a, 1
-    while x != 1:
-        x, k = mul[x][a], k + 1
-    return k
 
 
 def _closure(tables, seeds):

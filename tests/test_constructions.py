@@ -1,4 +1,6 @@
 import hashlib
+import json
+import re
 from dataclasses import replace
 from itertools import combinations
 
@@ -300,6 +302,114 @@ def test_tampered_recipe_is_reported_not_raised(h1_32, h2_42, family, tamper, wa
 def test_unknown_family_is_reported(h1_32):
     _, recipe = h1_32
     assert validate_recipe(replace(recipe, family="h3")) == ["unknown family h3"]
+
+
+# every key each of these recipes records, with `lines.<name>` for the
+# three named lines of an h2 recipe
+TAMPER_BUILDS = {"h1(3,2)": (build_h1, 3, 2), "h2(4,2)": (build_h2, 4, 2), "h2(4,3)": (build_h2, 4, 3)}
+TAMPER_KEYS = []
+for _name, (_build, _q, _nu) in TAMPER_BUILDS.items():
+    _chosen = _build(_q, _nu)[1].chosen
+    TAMPER_KEYS += [(_name, k) for k in _chosen]
+    TAMPER_KEYS += [(_name, f"lines.{k}") for k in _chosen.get("lines", ())]
+
+
+def tampered(plane, c, key):
+    """A copy of `chosen` with `key` changed: P, Q, R and T1 moved off PQ,
+    T2 and T3 onto it (breaking the arc), S off QT2, the tangent line and
+    ell swapped, a named line set to another, a list or dict grown."""
+    taken = {v for v in c.values() if isinstance(v, int)}
+
+    def least(ok):
+        return min(p for p in range(len(plane.points)) if p not in taken and ok(p))
+
+    pq = plane.lines[c["tangent_line"]].points
+    head, _, sub = key.partition(".")
+    value = c[head]
+    if sub:
+        new = {**value, sub: next(v for k, v in value.items() if k != sub)}
+    elif key in ("P", "Q", "R", "T1"):
+        new = least(lambda p: p not in pq)
+    elif key in ("T2", "T3"):
+        new = least(lambda p: p in pq)
+    elif key == "S":
+        new = least(lambda p: p not in line_through(plane, c["Q"], c["T2"]).points)
+    elif key in ("tangent_line", "ell_line"):
+        new = c["ell_line" if key == "tangent_line" else "tangent_line"]
+    elif isinstance(value, list):
+        new = value + value[:1]
+    else:
+        new = {**value, "0": 0}
+    return {**c, head: new}
+
+
+@pytest.mark.parametrize("how", ["changed", "missing"])
+@pytest.mark.parametrize("name,key", TAMPER_KEYS, ids=[f"{n}-{k}" for n, k in TAMPER_KEYS])
+def test_every_recorded_key_is_checked(name, key, how):
+    build, q, nu = TAMPER_BUILDS[name]
+    _, recipe = build(q, nu)
+    c = recipe.chosen
+    head, _, sub = key.partition(".")
+    if how == "changed":
+        chosen = tampered(plane_build(q), c, key)
+    elif sub:
+        chosen = {**c, head: {k: v for k, v in c[head].items() if k != sub}}
+    else:
+        chosen = {k: v for k, v in c.items() if k != key}
+    assert chosen != c
+    fails = validate_recipe(replace(recipe, chosen=chosen))
+    # the key's own name, or its words, e.g. "conic points drifted"
+    named = rf"\b({head}|{head.replace('_', ' ')})\b"
+    assert any(re.search(named, f) for f in fails), fails
+
+
+@pytest.mark.parametrize(
+    "family,change,wanted",
+    [
+        ("h2", {"q": 6}, "6 is not a prime power"),
+        ("h2", {"q": 33}, "order 33 exceeds the supported cap 32"),
+        ("h1", {"q": 6}, "q=6: the cover argument needs an odd prime order"),
+        ("h1", {"q": 33}, "order 33 exceeds the supported cap 32"),
+        ("h1", {"q": 9}, "q=9: the cover argument needs an odd prime order"),
+        ("h2", {"q": 3}, "q=3: the arc construction needs q >= 4"),
+        ("h2", {"nu": 0}, "nu=0: at least two glued planes required"),
+        ("h1", {"nu": 1}, "nu=1: at least two glued planes required"),
+    ],
+)
+def test_bad_order_or_nu_is_reported_not_raised(h1_32, h2_42, family, change, wanted):
+    _, recipe = h1_32 if family == "h1" else h2_42
+    assert validate_recipe(replace(recipe, **change)) == [wanted]
+
+
+def test_missing_points_are_each_reported(h2_42):
+    _, recipe = h2_42
+    chosen = {k: v for k, v in recipe.chosen.items() if k not in ("S", "ell_line")}
+    assert validate_recipe(replace(recipe, chosen=chosen)) == [
+        "recorded S is missing",
+        "recorded ell_line is missing",
+    ]
+
+
+@pytest.mark.parametrize("key", ["T2", "tangent_line"])
+def test_non_integer_id_is_reported(h2_42, key):
+    _, recipe = h2_42
+    chosen = {**recipe.chosen, key: float(recipe.chosen[key])}
+    assert validate_recipe(replace(recipe, chosen=chosen)) == ["a recorded point or line id is out of range"]
+
+
+BENCH_RECIPES = [
+    (build_h1, 3, 2), (build_h1, 3, 3), (build_h1, 3, 4), (build_h1, 5, 2), (build_h1, 5, 3),
+    (build_h1, 5, 4), (build_h1, 31, 2), (build_h2, 4, 2), (build_h2, 4, 3), (build_h2, 4, 4),
+    (build_h2, 5, 2), (build_h2, 5, 3), (build_h2, 16, 2), (build_h2, 25, 2), (build_h2, 32, 2),
+]
+
+
+@pytest.mark.parametrize("build,q,nu", BENCH_RECIPES,
+                         ids=[f"{b.__name__[-2:]}({q},{nu})" for b, q, nu in BENCH_RECIPES])
+def test_benchmark_recipes_validate_after_a_file_round_trip(build, q, nu):
+    # the benchmark reads each recipe back from its instance file
+    _, recipe = build(q, nu)
+    assert validate_recipe(replace(recipe, chosen=json.loads(json.dumps(recipe.chosen)))) == []
 
 
 # ---- frozen builder output ----

@@ -351,6 +351,28 @@ def test_closure_refuses_a_singular_generator(monkeypatch):
         min_nontrivial_blocking(3)
 
 
+def test_transvection_alone_is_not_transitive(monkeypatch):
+    # x0 += x1 alone has order p, so the frame's orbit holds at most p triangles
+    monkeypatch.setattr(oracles, "_GENERATORS", oracles._GENERATORS[1:])
+    with pytest.raises(RuntimeError, match="not transitive"):
+        oracles._collineations(plane_build(3), (0, 1, 4))
+
+
+@pytest.mark.parametrize("q,transitive", [(3, True), (4, False), (5, True)])
+def test_cycle_must_be_scaled_by_a_field_generator(monkeypatch, q, transitive):
+    # the bare cycle and x0 += x1 have entries in GF(p) only: at prime q
+    # that is the field, but at q = 4 they generate a copy of GL(3, 2), 168
+    # maps for 1,120 triangles, so w must generate GF(q) over GF(p)
+    bare = (lambda w: ((0, 1, 0), (0, 0, 1), (1, 0, 0)), oracles._GENERATORS[1])
+    monkeypatch.setattr(oracles, "_GENERATORS", bare)
+    plane, frame = plane_build(q), (0, 1, q + 1)
+    if transitive:
+        assert len(oracles._collineations(plane, frame)) == 2
+    else:
+        with pytest.raises(RuntimeError, match="not transitive"):
+            oracles._collineations(plane, frame)
+
+
 @pytest.mark.parametrize("q", [3, 4, 5])
 def test_carried_classes_match_classify(q):
     # only the frame representatives are classified; every image carries
