@@ -324,17 +324,25 @@ def build_h2(q: int, nu: int):
 
 
 def validate_recipe(recipe: ConstructionRecipe) -> list:
-    """Re-check every recorded constraint; returns a list of failures and
-    raises on none.  An unknown family, an order or nu its builder refuses,
-    or a missing point or line ends the list at once.  The ids are checked
-    to be in range and the points distinct, ending the list if not, before
-    any line is drawn through two points, and the subplane closure is taken
-    only of an arc.  Every other key is re-derived from the recorded points
-    through the builders' own helpers, without building the hypergraph, and
-    each one that differs is reported."""
+    """Re-check a recipe's own consistency; returns a list of failures and
+    raises on none.  An unknown family, a q or nu that is not an integer or
+    that its builder refuses, or a missing point or line ends the list at
+    once.  The ids are checked to be in range and the points distinct,
+    ending the list if not, before any line is drawn through two points, and
+    the subplane closure is taken only of an arc.  Every other key is
+    re-derived from the recorded points through the builders' own helpers,
+    without building the hypergraph, and each one that differs is reported;
+    the gluing keys only when `plane_edges` records nu planes, so the work
+    is bounded by the recipe.
+
+    R enters only the stitched edge e1, which is not recorded, so an h1
+    recipe with R on the other free point of PQ is the consistent recipe of
+    another hypergraph: no recipe is checked against a file's edges."""
     names = {"h1": ("P", "Q", "R"), "h2": ("P", "Q", "T1", "T2", "T3", "S")}.get(recipe.family)
     if names is None:
         return [f"unknown family {recipe.family}"]
+    if not all(type(v) is int for v in (recipe.q, recipe.nu)):  # exact: a bool is not one
+        return ["q and nu must be integers"]
     try:
         plane = _glued_plane(recipe.family, recipe.q, recipe.nu)
     except ValueError as e:
@@ -393,8 +401,11 @@ def validate_recipe(recipe: ConstructionRecipe) -> list:
             cands = c.get("S_candidates")
             ok = isinstance(cands, list) and cands[:1] == [S] and all(s in passing for s in cands)
             expect(ok, "recorded S_candidates does not match its points")
-    for key, value in _gluing(plane, recipe.nu, len(lines))[2].items():
-        expect(c.get(key) == value, f"recorded {key} does not match its points")
+    planes = c.get("plane_edges")  # nu planes are laid out only if as many are recorded
+    nu_ok = type(planes) is dict and len(planes) == recipe.nu
+    if expect(nu_ok, "nu differs from the number of recorded plane_edges"):
+        for key, value in _gluing(plane, recipe.nu, len(lines))[2].items():
+            expect(c.get(key) == value, f"recorded {key} does not match its points")
     return fails
 
 

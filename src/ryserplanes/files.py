@@ -50,9 +50,12 @@ def hypergraph_from_dict(d: dict):
         type(e) is list and set(map(type, e)) <= {int} for e in edges
     ):
         raise ValueError("edges must be lists of integer vertex ids")
+    meta = d.get("meta", {})
+    if type(meta) is not dict:
+        raise ValueError("meta must be a JSON object")
     verts = [Vertex(v["id"], v["label"], v["side"]) for v in vertices]
     h = Hypergraph(d["r"], verts, [tuple(e) for e in edges])
-    return h, d.get("meta", {})
+    return h, meta
 
 
 def _list_items(items):

@@ -90,8 +90,8 @@ class _ExactSolver:
     children: a child whose share of those weights already exceeds its
     budget is cut without a bound pass of its own, and its entry is stored
     negated, -k, to say that k was inherited and the child's own bound is
-    still to be computed.  `tau_le` is the only writer of those bounds;
-    `tau_exact` climbs by calling it.
+    still to be computed; no stored bound is 0, so a missing one reads 0.
+    `tau_le` is the only writer of those bounds; `tau_exact` climbs by calling it.
 
     Budgets 1 and 2 are answered exactly at a leaf, with no bound pass,
     split or branch scan: every cover holds a vertex of U's lowest edge
@@ -114,9 +114,9 @@ class _ExactSolver:
     U - inc(p) onto the child U - inc(g(p)), so both have the same tau, and
     once one child fails no image of it is searched.  A child gets the maps
     that fix p, which fix it in turn.  The maps are found once per solver,
-    by `_automorphisms`, and only when the root's first child has failed
-    with a refutation of at least as many `_lower` entries as there are
-    vertices: small trees, and the pair search's calls, never pay for it.
+    by `_automorphisms`, if the root decides so, once, when its first child
+    has failed: only a refutation of at least as many `_lower` entries as
+    there are vertices looks, so small trees and pair searches never pay.
     """
 
     def __init__(self, h: Hypergraph):
@@ -260,7 +260,7 @@ class _ExactSolver:
 
         `autos`, when given, lists automorphisms (vertex position maps)
         that each map U onto itself; an empty list marks the whole-family
-        root of `tau_exact`'s climb before discovery has run.
+        root of `tau_exact`'s climb, which decides discovery once.
         """
         exact = self._exact.get(U)  # U = 0 has its seeded entry, the empty cover
         if exact is not None:
@@ -269,8 +269,8 @@ class _ExactSolver:
         if b <= 0:
             return False
         lower = self._lower
-        lb = lower.get(U)
-        if lb is not None and abs(lb) > b:
+        lb = lower.get(U, 0)  # 0: no entry; every stored bound is nonzero
+        if abs(lb) > b:
             return False
         if b <= 2:
             # the leaf: every cover holds a vertex p of U's lowest edge, so
@@ -293,7 +293,7 @@ class _ExactSolver:
                 tried.add(left)
             return False
         groups = None  # set only when this visit computes U's own bound
-        if lb is None or lb < 0:
+        if lb <= 0:
             L, groups, total = self._fractional(U)
             lb = lower[U] = -(-total // L)
         if lb > b:
@@ -329,12 +329,10 @@ class _ExactSolver:
                 break
         # drop dominated roles: a vertex whose incidence is contained in
         # another candidate's can always be swapped out of a cover
-        items = sorted(best_roles.items(), key=lambda kv: -kv[0].bit_count())
         kept = []
-        for inc, p in items:
-            if any(inc & ~inc2 == 0 for inc2, _ in kept):
-                continue
-            kept.append((inc, p))
+        for inc, p in sorted(best_roles.items(), key=lambda kv: -kv[0].bit_count()):
+            if all(inc & ~inc2 for inc2, _ in kept):
+                kept.append((inc, p))
         failed = ()  # roles whose child failed, with their images
         before = len(lower)
         for inc, p in kept:
@@ -353,17 +351,13 @@ class _ExactSolver:
             elif self.tau_le(child, b - 1, _fixing(autos, p) if autos else None):
                 self.found |= 1 << p
                 return True
-            if autos is None:
-                continue
-            if not autos:
+            if autos == []:
                 # the whole-family root before discovery, after its first
                 # child: look only if that refutation proved the tree large
-                if len(lower) - before < len(self.vids):
-                    autos = None
-                    continue
-                autos = self.automorphisms()
-            # each map sends this failed child onto the child of p's image
-            failed = {*failed, *(self.vert_edges[a[p]] & U for a in autos)}
+                autos = self.automorphisms() if len(lower) - before >= len(self.vids) else None
+            if autos:
+                # each map sends this failed child onto the child of p's image
+                failed = {*failed, *(self.vert_edges[a[p]] & U for a in autos)}
         lower[U] = b + 1
         return False
 
@@ -383,9 +377,9 @@ class _ExactSolver:
         if got is not None:
             return got.bit_count()
         # a failed tau_le above the leaf leaves U a bound: its own, b + 1,
-        # or an inherited -k; a refuting leaf (d <= 2) leaves none
-        # only the whole-family climb branches by orbits; [] asks its root
-        # to look for them (see `tau_le`)
+        # or an inherited -k; a refuting leaf (d <= 2) leaves none, read as 0
+        # only the whole-family climb branches by orbits; [] lets its root
+        # decide once whether to look for them (see `tau_le`)
         whole = U == self.all_edges
         d = 1
         while not self.tau_le(U, d, (self._autos or []) if whole else None):

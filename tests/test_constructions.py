@@ -1,6 +1,7 @@
 import hashlib
 import json
 import re
+import time
 from dataclasses import replace
 from itertools import combinations
 
@@ -388,6 +389,28 @@ def test_missing_points_are_each_reported(h2_42):
         "recorded S is missing",
         "recorded ell_line is missing",
     ]
+
+
+BAD_ORDERS = [{"nu": "2"}, {"nu": None}, {"nu": 2.0}, {"nu": True},
+              {"q": "4"}, {"q": 4.0}, {"q": None}, {"q": True}]
+
+
+@pytest.mark.parametrize("change", BAD_ORDERS, ids=[repr(c) for c in BAD_ORDERS])
+@pytest.mark.parametrize("family", ["h1", "h2"])
+def test_order_or_nu_that_is_not_an_integer_is_reported(h1_32, h2_42, family, change):
+    # recipes come from a file's meta, so any JSON value may stand here
+    _, recipe = h1_32 if family == "h1" else h2_42
+    assert validate_recipe(replace(recipe, **change)) == ["q and nu must be integers"]
+
+
+@pytest.mark.parametrize("nu", [3, 10 ** 6, 10 ** 9])
+@pytest.mark.parametrize("family", ["h1", "h2"])
+def test_nu_beside_fewer_recorded_planes_lays_out_none(h1_32, h2_42, family, nu):
+    _, recipe = h1_32 if family == "h1" else h2_42
+    start = time.perf_counter()
+    fails = validate_recipe(replace(recipe, nu=nu))
+    assert time.perf_counter() - start < 1.0
+    assert fails == ["nu differs from the number of recorded plane_edges"]
 
 
 @pytest.mark.parametrize("key", ["T2", "tangent_line"])

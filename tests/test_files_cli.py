@@ -172,6 +172,25 @@ def test_cli_malformed_file_is_a_one_line_error(tmp_path, capsys, name, command)
     assert err.startswith("error: ValueError") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("meta", [5, [], "x", None], ids=["number", "list", "string", "null"])
+def test_meta_that_is_not_an_object_is_refused(tmp_path, capsys, meta):
+    d = hypergraph_to_dict(truncated_plane(2))
+    d["meta"] = meta
+    with pytest.raises(ValueError, match="meta must be a JSON object"):
+        hypergraph_from_dict(d)
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(d))
+    assert _run(tmp_path, "verify", "--in", p) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: ValueError: meta must be a JSON object\n"
+
+
+def test_missing_meta_reads_as_empty():
+    d = hypergraph_to_dict(truncated_plane(2))
+    del d["meta"]
+    assert hypergraph_from_dict(d)[1] == {}
+
+
 @pytest.mark.parametrize("command", ["verify", "decompose", "embed"])
 def test_cli_unknown_vertex_is_reported_as_invalid(tmp_path, capsys, command):
     p = tmp_path / "unknown.json"

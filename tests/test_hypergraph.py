@@ -995,6 +995,31 @@ def test_cover_search_finds_symmetry_on_the_conic_truncations(name, order):
     assert len(covered(name)._autos) == order
 
 
+# a 3-partite family, 8 vertices a side, found by a seeded search over random
+# families: at budget 7 its root's first failed child stores exactly 24
+# `_lower` entries, one per vertex; vertices 0 and 21 are twins
+AT_THE_DISCOVERY_BOUNDARY = [
+    (0, 8, 21), (0, 14, 21), (1, 8, 19), (1, 11, 18), (1, 12, 22), (1, 13, 17), (2, 8, 17),
+    (2, 11, 19), (2, 14, 17), (3, 8, 18), (3, 8, 20), (4, 9, 19), (4, 10, 20), (4, 11, 17),
+    (4, 13, 20), (4, 15, 20), (5, 8, 17), (5, 10, 17), (5, 12, 18), (5, 15, 19), (6, 9, 18),
+    (6, 9, 19), (6, 11, 23), (6, 13, 16), (6, 13, 23), (6, 14, 22), (7, 8, 22), (7, 11, 16),
+    (7, 13, 19), (7, 15, 17),
+]
+
+
+@pytest.mark.parametrize("isolated, order", [(0, 2), (1, None)])
+def test_discovery_starts_at_one_refuted_entry_per_vertex(isolated, order):
+    # a vertex in no edge leaves the search as it is and raises the threshold
+    # to 25 entries, which that refutation misses by one
+    verts = [Vertex(i, f"v{i}", i // 8) for i in range(24)] + [Vertex(24, "v24", 0)] * isolated
+    h = Hypergraph(3, verts, AT_THE_DISCOVERY_BOUNDARY)
+    cert = cover_number(h)
+    assert (cert.value["tau"], cert.witness) == (8, (0, 1, 2, 3, 4, 5, 6, 7))
+    s = h.solver()
+    assert len(s._lower) == 94
+    assert (None if s._autos is None else len(s._autos)) == order
+
+
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_relabelled_tc9_cover_search_stays_small(seed):
     # `_lower` entries on seeds 1/2/3: 10,164 / 9,242 / 16,235, against
