@@ -326,19 +326,21 @@ def build_h2(q: int, nu: int):
 def validate_recipe(recipe: ConstructionRecipe) -> list:
     """Re-check a recipe's own consistency; returns a list of failures and
     raises on none.  An unknown family, a q or nu that is not an integer or
-    that its builder refuses, or a missing point or line ends the list at
-    once.  The ids are checked to be in range and the points distinct,
-    ending the list if not, before any line is drawn through two points, and
-    the subplane closure is taken only of an arc.  Every other key is
-    re-derived from the recorded points through the builders' own helpers,
-    without building the hypergraph, and each one that differs is reported;
-    the gluing keys only when `plane_edges` records nu planes, so the work
-    is bounded by the recipe.
+    that its builder refuses, a `chosen` that is not a dict, or a missing
+    point or line ends the list at once.  The ids are checked to be in
+    range and the points distinct, ending the list if not, before any line
+    is drawn through two points, and the subplane closure is taken only of
+    an arc.  Every other key is re-derived from the recorded points through
+    the builders' own helpers, without building the hypergraph, and each
+    one that differs is reported; the gluing keys only when `plane_edges`
+    records nu planes, so the work is bounded by the recipe.
 
     R enters only the stitched edge e1, which is not recorded, so an h1
     recipe with R on the other free point of PQ is the consistent recipe of
     another hypergraph: no recipe is checked against a file's edges."""
-    names = {"h1": ("P", "Q", "R"), "h2": ("P", "Q", "T1", "T2", "T3", "S")}.get(recipe.family)
+    names = None
+    if type(recipe.family) is str:  # a family read from a file may be any JSON value
+        names = {"h1": ("P", "Q", "R"), "h2": ("P", "Q", "T1", "T2", "T3", "S")}.get(recipe.family)
     if names is None:
         return [f"unknown family {recipe.family}"]
     if not all(type(v) is int for v in (recipe.q, recipe.nu)):  # exact: a bool is not one
@@ -348,6 +350,8 @@ def validate_recipe(recipe: ConstructionRecipe) -> list:
     except ValueError as e:
         return [str(e)]
     c = recipe.chosen
+    if not isinstance(c, dict):
+        return ["chosen must be a JSON object"]
     missing = [k for k in names + ("tangent_line", "ell_line") if k not in c]
     if missing:
         return [f"recorded {k} is missing" for k in missing]

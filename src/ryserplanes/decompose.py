@@ -12,6 +12,14 @@ edge-id order, and a clique's support only grows along the walk.  The pair
 search is partner-first: it keeps a clique only while the edges avoiding
 its support still hold a kernel, so the first clique to reach r - 1 is one
 half of a pair, and a completed walk certifies a negative answer.
+
+The pair search also kills edges.  When a root of its walk ends with no
+yield, every edge below it is already dead, so no pair holds that root:
+it dies, and with it its edge orbit under the automorphisms, which map
+pairs onto pairs (orbital branching at the root).  Dead edges leave the
+walk and the partner lookups.  The maps are looked for once, when some
+root is dead and the cover memo holds one entry per vertex, the rule the
+cover climb uses; a `none` certificate lists the roots walked and the maps.
 """
 
 from dataclasses import dataclass
@@ -19,7 +27,8 @@ from itertools import combinations
 from typing import Optional
 
 from .errors import SearchTooLarge
-from .hypergraph import Certificate, Hypergraph, _bits
+from .hypergraph import Certificate, Hypergraph, _bits, _mask
+from .symmetry import _orbit, edge_maps
 
 DEFAULT_CAP = 10 ** 7
 
@@ -69,7 +78,7 @@ class _Budget:
             raise _CapHit
 
 
-def _reaching_cliques(s, r, allowed, budget, keep=None):
+def _reaching_cliques(s, r, allowed, budget, keep=None, dead=None):
     """Cliques within `allowed` whose cover number reaches r - 1.
 
     Cliques are visited in ascending edge-id order, one budget node each,
@@ -94,34 +103,48 @@ def _reaching_cliques(s, r, allowed, budget, keep=None):
     every cut and every yield still rests on `tau_le`, and the walk, its
     budget and its `keep` questions are those of a walk that asks `tau_le`
     every time.
+
+    `dead`, given by the pair search only, is its `_DeadRoots`: edges that
+    no disjoint pair holds, a set that may grow at any node (`visit`).  A
+    dead candidate is skipped, a child's candidates leave out dead edges,
+    and a clique that has come to hold a dead edge is abandoned.  A root
+    whose walk ends with no yield, and that is still live, is handed to
+    `dead.finish`.  With no `dead` the walk is the one described above.
     """
     threshold = r - 2  # tau_le(mask, r - 2) false  <=>  tau >= r - 1
     conflict, vert_edges, edge_verts = s.conflict, s.vert_edges, s.edge_verts
 
     def dfs(mask, cand, covered, size, touched):
         for e in _bits(cand):
+            if dead is not None:
+                dead.visit()
+                if dead.mask & mask:
+                    return  # no pair holds this clique
+                if dead.mask >> e & 1:
+                    continue
             budget.spend(1)
             sub = mask | (1 << e)
             rest = cand & conflict[e] & ~((1 << (e + 1)) - 1)
+            if dead is not None:
+                rest &= ~dead.mask
             union = touched | conflict[e]
-            if keep is not None and not keep(union):
-                continue
-            if s.tau_le(sub | rest, threshold):
-                continue
-            if not rest:
-                yield sub
-            elif covered >> e & 1:
-                yield from dfs(sub, rest, covered, size, union)
-            elif size < threshold:
-                # grow C by the vertex of e that meets the most candidates
-                p = max(edge_verts[e], key=lambda p: (vert_edges[p] & rest).bit_count())
-                yield from dfs(sub, rest, covered | vert_edges[p], size + 1, union)
-            else:
-                met = s.greedy_cover_le(sub, threshold)
-                if met or s.tau_le(sub, threshold):
-                    yield from dfs(sub, rest, met or sub, threshold, union)
-                else:
+            if (keep is None or keep(union)) and not s.tau_le(sub | rest, threshold):
+                if not rest:
                     yield sub
+                elif covered >> e & 1:
+                    yield from dfs(sub, rest, covered, size, union)
+                elif size < threshold:
+                    # grow C by the vertex of e that meets the most candidates
+                    p = max(edge_verts[e], key=lambda p: (vert_edges[p] & rest).bit_count())
+                    yield from dfs(sub, rest, covered | vert_edges[p], size + 1, union)
+                else:
+                    met = s.greedy_cover_le(sub, threshold)
+                    if met or s.tau_le(sub, threshold):
+                        yield from dfs(sub, rest, met or sub, threshold, union)
+                    else:
+                        yield sub
+            if not mask and dead is not None and not dead.mask >> e & 1:
+                dead.finish(e)  # a root whose walk ended with no yield
 
     if not s.tau_le(allowed, threshold):
         yield from dfs(0, allowed, 0, 0, 0)
@@ -162,25 +185,79 @@ def enumerate_kernels(h: Hypergraph, cap: int = DEFAULT_CAP, within: Optional[in
     return KernelEnumeration(tuple(kernels), status, budget.spent)
 
 
+class _DeadRoots:
+    """Edges that no disjoint Ryser pair holds, grown by the pair walk.
+
+    `walked` lists the live roots whose walk ended with no yield, in order,
+    and `maps` the automorphisms (the identity left out) whose edge
+    permutations the set is closed under, once they are found; see
+    `find_disjoint_ryser_pair`.
+    """
+
+    def __init__(self, s):
+        self.s = s
+        self.mask = 0
+        self.walked = []
+        self.maps = None
+        self.edge_maps = []
+
+    def visit(self):
+        # discovery, once: some root is dead and the shared cover memo holds
+        # at least one entry per vertex, the cover climb's own rule
+        s = self.s
+        if self.maps is None and self.mask and len(s._lower) >= len(s.vids):
+            self.maps = s.automorphisms()[1:]
+            self.edge_maps = edge_maps(s.edge_verts, self.maps)
+            self.kill(self.mask)
+
+    def finish(self, e):
+        self.walked.append(e)
+        self.kill(1 << e)
+
+    def kill(self, new):
+        self.mask |= _mask(_orbit(_bits(new), self.edge_maps))
+
+
 def find_disjoint_ryser_pair(h: Hypergraph, cap: int = DEFAULT_CAP) -> PairSearchResult:
     """Two support-disjoint kernels, or proof that there are none.
 
-    The partner of a clique is the first kernel among the edges that avoid
-    its support, found by `enumerate_kernels` and memoised per edge mask.
-    The walk drops a clique without a partner: its extensions have larger
-    supports, so they have none either.  The first clique to reach r - 1
-    with a partner is shrunk to a kernel, one edge dropped at a time while
-    the cover number stays r - 1, and paired with that partner.  `cap`
-    bounds the walk's nodes and the partner searches' nodes together.
+    The partner of a clique is the first kernel among the live edges that
+    avoid its support, found by `enumerate_kernels` and memoised per edge
+    mask.  The walk drops a clique without a partner: its extensions have
+    larger supports, so they have none either.  The first clique to reach
+    r - 1 with a partner is shrunk to a kernel, one edge dropped at a time
+    while the cover number stays r - 1, and paired with that partner.
+    `cap` bounds the walk's nodes and the partner searches' nodes together.
+
+    Dead roots.  An edge is dead once no pair can hold it, and dead edges
+    are left out of the walk and of every partner lookup.  Roots are walked
+    in ascending order, so when root e ends with no yield every edge below
+    e is dead.  A pair avoiding the dead edges and holding e then has e as
+    the lowest edge of the half that holds it, and the walk from e would
+    have found that half with its partner; so no pair holds e, and e dies.
+    An automorphism maps pairs onto pairs, so e's whole edge orbit dies
+    with it (orbital branching at the root; Ostrowski, Linderoth, Rossi &
+    Smriglio 2011).  Each map is checked edge by edge and the dead set is
+    closed under the listed maps' edge permutations to a fixed point, so
+    this rests on no claim that the list is a group.  A clique that comes
+    to hold a dead edge, its root included, is abandoned.
+
+    The maps are asked of the solver once, at a walk node, when some root
+    is dead and the shared `_lower` memo holds at least one entry per
+    vertex, the rule by which the cover climb asks: a search that succeeds
+    at its first root, or whose cover questions stay small, never pays.
+    A `none` certificate lists the roots walked and the maps, as vertex-id
+    images, that its dead set was closed under.
     """
     s = h.solver()
     threshold = h.r - 2
     budget = _Budget(cap)
     partners = {}
+    dead = _DeadRoots(s)
 
     def partner(touched):
         # touched: the edges meeting a clique's support (see `_reaching_cliques`)
-        avoid = s.all_edges & ~touched
+        avoid = s.all_edges & ~touched & ~dead.mask
         if avoid not in partners:
             enum = enumerate_kernels(h, budget.cap - budget.spent, within=avoid, first=True)
             budget.spend(enum.visited)
@@ -189,13 +266,14 @@ def find_disjoint_ryser_pair(h: Hypergraph, cap: int = DEFAULT_CAP) -> PairSearc
 
     outcome = "none"
     try:
-        sub = next(_reaching_cliques(s, h.r, s.all_edges, budget, keep=partner), None)
+        sub = next(_reaching_cliques(s, h.r, s.all_edges, budget, partner, dead), None)
     except _CapHit:
         outcome, sub = "inconclusive", None
     if sub is None:
+        maps = [[s.vids[p] for p in g] for g in dead.maps or ()]
         cert = Certificate(
             kind="no_disjoint_pair",
-            value={"r": h.r, "visited": budget.spent},
+            value={"r": h.r, "visited": budget.spent, "roots": dead.walked, "maps": maps},
             witness=None,
             exhaustive=outcome == "none",
         )

@@ -403,6 +403,25 @@ def test_order_or_nu_that_is_not_an_integer_is_reported(h1_32, h2_42, family, ch
     assert validate_recipe(replace(recipe, **change)) == ["q and nu must be integers"]
 
 
+BAD_FAMILIES = [["h2"], {"h2": 1}, None, 2]
+
+
+@pytest.mark.parametrize("family", BAD_FAMILIES, ids=[repr(f) for f in BAD_FAMILIES])
+def test_family_that_is_not_a_string_is_reported(h2_42, family):
+    # `bench/workloads.py` builds recipes from a file's meta["family"]
+    _, recipe = h2_42
+    assert validate_recipe(replace(recipe, family=family)) == [f"unknown family {family}"]
+
+
+BAD_CHOSEN = [5, None, [], "P", ["P", "Q"]]
+
+
+@pytest.mark.parametrize("chosen", BAD_CHOSEN, ids=[repr(c) for c in BAD_CHOSEN])
+def test_chosen_that_is_not_an_object_is_reported(h2_42, chosen):
+    _, recipe = h2_42
+    assert validate_recipe(replace(recipe, chosen=chosen)) == ["chosen must be a JSON object"]
+
+
 @pytest.mark.parametrize("nu", [3, 10 ** 6, 10 ** 9])
 @pytest.mark.parametrize("family", ["h1", "h2"])
 def test_nu_beside_fewer_recorded_planes_lays_out_none(h1_32, h2_42, family, nu):

@@ -22,6 +22,7 @@ from ryserplanes.hypergraph import (
     restrict,
     tau_subfamily,
 )
+from ryserplanes.symmetry import _orbit, edge_maps
 
 
 def make(r, per_side, edges):
@@ -169,7 +170,7 @@ def test_pair_search_outcome_is_frozen(nu, outcome):
 
 
 @pytest.mark.parametrize("name, outcome, ceiling", [
-    ("h2(4,2)", "none", 2830),
+    ("h2(4,2)", "none", 1682),
     ("h2(4,3)", "some", 130),
     ("TC(5)", "none", 15),
     ("TC(5)+TC(5)", "some", 30),
@@ -186,9 +187,11 @@ def test_pair_search_size_does_not_grow(name, outcome, ceiling):
     res = find_disjoint_ryser_pair(h)
     assert res.outcome == outcome
     assert res.visited <= ceiling
-    # symmetry is for the whole-family cover climb only: the pair search's
-    # own whole-family tau_le never looks for it
-    assert h.solver()._autos is None
+    # the pair search looks for symmetry only once a root has died and the
+    # cover memo holds one entry per vertex: on h2(4,2), whose 72 maps kill
+    # the orbits of its dead roots, and on none of the others
+    autos = h.solver()._autos
+    assert (None if autos is None else len(autos)) == {"h2(4,2)": 72}.get(name)
 
 
 def test_pair_search_memo_does_not_grow():
@@ -197,13 +200,14 @@ def test_pair_search_memo_does_not_grow():
     # larger tree would raise
     h = build_h2(4, 2)[0]
     assert find_disjoint_ryser_pair(h).outcome == "none"
-    assert len(h.solver()._lower) <= 1458
+    assert len(h.solver()._lower) <= 730
 
 
-def test_capped_h1_q5_search_does_not_grow(monkeypatch):
-    # the benchmark's capped h1(5,2) op, in counters that do not depend on
-    # the machine: the walk's nodes are fixed by the cap, so the cost per
-    # node is what can grow, in memo entries or in greedy cover passes (the
+def test_capped_h2_q5_search_does_not_grow(monkeypatch):
+    # a capped search that dead roots do not decide: h2(5,2) stops at the
+    # cap after its first root.  In counters that do not depend on the
+    # machine: the walk's nodes are fixed by the cap, so the cost per node
+    # is what can grow, in memo entries or in greedy cover passes (the
     # carried cover witness settles all but a few nodes without one)
     calls = []
     original = _ExactSolver.greedy_cover_le
@@ -213,15 +217,15 @@ def test_capped_h1_q5_search_does_not_grow(monkeypatch):
         return original(self, U, b)
 
     monkeypatch.setattr(_ExactSolver, "greedy_cover_le", counting)
-    h = build_h1(5, 2)[0]
+    h = build_h2(5, 2)[0]
     res = find_disjoint_ryser_pair(h, cap=10000)
     assert res.outcome == "inconclusive"
     assert res.visited == 10001
-    assert len(h.solver()._lower) <= 10903
-    assert len(calls) <= 4
+    assert len(h.solver()._lower) <= 10870
+    assert len(calls) <= 5
 
 
-def test_capped_h1_q5_search_runs_no_bound_pass_below_budget_three(monkeypatch):
+def test_capped_h2_q5_search_runs_no_bound_pass_below_budget_three(monkeypatch):
     # budgets 1 and 2 are answered by the leaf: no `_fractional` call is
     # made for a `tau_le` asked at them, however deep in the search
     budgets, passes = [], {}
@@ -240,7 +244,7 @@ def test_capped_h1_q5_search_runs_no_bound_pass_below_budget_three(monkeypatch):
 
     monkeypatch.setattr(_ExactSolver, "tau_le", asking)
     monkeypatch.setattr(_ExactSolver, "_fractional", bounding)
-    h = build_h1(5, 2)[0]
+    h = build_h2(5, 2)[0]
     assert find_disjoint_ryser_pair(h, cap=10000).visited == 10001
     assert passes and min(passes) >= 3
 
@@ -373,7 +377,163 @@ def test_partner_lookups_go_through_the_module(monkeypatch):
     res = find_disjoint_ryser_pair(build_h1(3, 2)[0])
     assert calls
     assert res.outcome == "none"
-    assert res.visited == 108
+    assert res.visited == 77
+
+
+DECIDED_BY_ORBITS = {"h1(5,2)": (49, 40), "h1(7,2)": (93, 84)}
+
+
+@pytest.mark.parametrize("name", DECIDED_BY_ORBITS)
+def test_dead_root_orbits_decide_h1_q5_and_q7(name):
+    # without the orbits h1(5,2) takes 489 k nodes and h1(7,2) is
+    # undecided; the cap keeps a regression from running that long
+    h = build_h1(int(name[3]), 2)[0]
+    res = find_disjoint_ryser_pair(h, cap=10000)
+    assert res.outcome == "none"
+    assert res.certificate.exhaustive
+    assert (res.visited, len(h.solver()._autos)) == DECIDED_BY_ORBITS[name]
+
+
+# visited and the pair of each decomposable rung, as before dead roots:
+# none of these searches looks for symmetry
+SOME_RUNGS = {
+    "h1(3,3)": (41, (2, 3, 4, 5, 6, 13), (15, 16, 17, 18, 19, 20)),
+    "h2(4,3)": (130, (3, 5, 6, 8, 9, 10, 11, 12, 23), (25, 26, 27, 28, 29, 30, 31, 32, 34)),
+    "TC(5)+TC(5)": (30, tuple(range(15)), tuple(range(15, 30))),
+    "h2(7,2)": (176, (0, 5, 6, 10, 11, 12, 16, 17, 18) + tuple(range(22, 27)) + tuple(range(28, 38)),
+                (43,) + tuple(range(50, 71)) + (74, 75, 78)),
+    "TC(3)+TC(3)": (12, tuple(range(6)), tuple(range(6, 12))),
+}
+
+
+@pytest.mark.parametrize("name", SOME_RUNGS)
+def test_some_rungs_keep_their_walk(name):
+    h = {
+        "h1(3,3)": lambda: build_h1(3, 3)[0],
+        "h2(4,3)": lambda: build_h2(4, 3)[0],
+        "TC(5)+TC(5)": lambda: disjoint_union(conic_truncated(5), conic_truncated(5)),
+        "h2(7,2)": lambda: build_h2(7, 2)[0],
+        "TC(3)+TC(3)": lambda: disjoint_union(conic_truncated(3), conic_truncated(3)),
+    }[name]()
+    res = find_disjoint_ryser_pair(h)
+    assert res.outcome == "some"
+    assert (res.visited, res.pair.first.edge_ids, res.pair.second.edge_ids) == SOME_RUNGS[name]
+    assert h.solver()._autos is None
+
+
+def relabelled(h, seed):
+    """A copy of h with its vertex ids and its edge order permuted."""
+    rng = random.Random(seed)
+    ids = [v.id for v in h.vertices]
+    perm = dict(zip(ids, rng.sample(ids, len(ids))))
+    verts = [Vertex(perm[v.id], v.label, v.side) for v in h.vertices]
+    edges = [tuple(perm[vid] for vid in e) for e in h.edges]
+    rng.shuffle(edges)
+    return Hypergraph(h.r, verts, edges)
+
+
+RELABEL_CORPUS = {
+    "h1(3,2)": lambda: build_h1(3, 2)[0],
+    "h1(3,3)": lambda: build_h1(3, 3)[0],
+    "h2(4,2)": lambda: build_h2(4, 2)[0],
+    "h2(4,3)": lambda: build_h2(4, 3)[0],
+    "TC(5)": lambda: conic_truncated(5),
+    "TC(5)+TC(5)": lambda: disjoint_union(conic_truncated(5), conic_truncated(5)),
+}
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("name", RELABEL_CORPUS)
+def test_relabelled_copies_keep_the_outcome(name, seed):
+    # the numbering decides which roots die first and which orbits they
+    # kill, never the answer; a pair found is re-checked by brute force
+    want = find_disjoint_ryser_pair(RELABEL_CORPUS[name]()).outcome
+    h = relabelled(RELABEL_CORPUS[name](), seed)
+    res = find_disjoint_ryser_pair(h)
+    assert res.outcome == want
+    if want == "some":
+        assert_kernel_pair(h, res.pair)
+
+
+@pytest.mark.parametrize("name, orbital", [
+    ("h1(3,2)", False), ("TC(5)", False), ("h2(4,2)", True), ("h1(5,2)", True),
+])
+def test_none_certificate_kills_every_edge(name, orbital):
+    # checked on vertex ids with no solver code: each listed map sends every
+    # edge onto an edge, and the walked roots, closed under the maps, are
+    # every edge, so each edge was refuted by a walk or is an image of one
+    h = {
+        "h1(3,2)": lambda: build_h1(3, 2)[0],
+        "TC(5)": lambda: conic_truncated(5),
+        "h2(4,2)": lambda: build_h2(4, 2)[0],
+        "h1(5,2)": lambda: build_h1(5, 2)[0],
+    }[name]()
+    res = find_disjoint_ryser_pair(h)
+    assert res.outcome == "none"
+    roots, maps = res.certificate.value["roots"], res.certificate.value["maps"]
+    assert roots == sorted(roots)
+    assert bool(maps) == orbital
+    ids = [v.id for v in h.vertices]
+    index = {frozenset(e): ei for ei, e in enumerate(h.edges)}
+    images = []
+    for m in maps:
+        assert sorted(m) == ids
+        g = dict(zip(ids, m))
+        images.append([index[frozenset(g[v] for v in e)] for e in h.edges])
+    dead, todo = set(roots), list(roots)
+    while todo:
+        e = todo.pop()
+        for image in images:
+            if image[e] not in dead:
+                dead.add(image[e])
+                todo.append(image[e])
+    assert dead == set(range(len(h.edges)))
+    if orbital:
+        assert len(roots) < len(h.edges)
+
+
+def test_orbits_from_the_first_dead_root_agree_with_brute_force(monkeypatch):
+    # the discovery rule keeps tiny searches from looking for symmetry, so
+    # here the maps are asked for as soon as a root dies; half the corpus
+    # is two copies of one family, whose swap kills roots in pairs
+    import ryserplanes.decompose as decompose
+
+    def eager(self):
+        if self.maps is None and self.mask:
+            self.maps = self.s.automorphisms()[1:]
+            self.kill(self.mask)
+
+    monkeypatch.setattr(decompose._DeadRoots, "visit", eager)
+    rng = random.Random(4242)
+    orbital = 0
+    for i in range(120):
+        if i % 2:
+            h = random_instance(rng)
+        else:
+            a = random_instance(rng)
+            half = restrict(a, range(min(5, len(a.edges))))
+            h = disjoint_union(half, half)
+        res = find_disjoint_ryser_pair(h)
+        assert (res.outcome == "some") == brute_force_disjoint_pair(h)
+        if res.outcome == "some":
+            assert_kernel_pair(h, res.pair)
+        orbital += bool(res.certificate.value.get("maps"))
+    assert orbital > 10
+
+
+def test_one_generator_closes_a_whole_edge_orbit():
+    # a bipartite 2k-cycle a_i b_i a_i b_(i+1): the rotation alone generates
+    # the cyclic group, and one edge's orbit under it is its k-edge class
+    k = 6
+    h = make(2, k, [(i, k + i) for i in range(k)] + [(i, k + (i + 1) % k) for i in range(k)])
+    s = h.solver()
+    rotate = tuple((p + 1) % k + (p >= k) * k for p in range(2 * k))
+    perms = edge_maps(s.edge_verts, [rotate])
+    straight = {s.edge_verts.index((i, k + i)) for i in range(k)}
+    for e in straight:
+        assert _orbit([e], perms) == straight
+    assert _orbit(range(2 * k), perms) == set(range(2 * k))
+    assert _orbit([0, 3], edge_maps(s.edge_verts, [])) == {0, 3}
 
 
 def test_brute_force_rejects_large_inputs():

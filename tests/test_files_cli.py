@@ -353,12 +353,12 @@ def test_cli_oracle_output_is_frozen(capsys, kind, q):
 # sha256 of decompose's stdout and of its certificate file, one case per
 # exit code: no pair (0), a pair (2) and a cap hit (3)
 DECOMPOSE_BYTES = {
-    "h1(3,2)": (0, "b21bd7d486c6d9a431cab6348bcb1e0117800329cc6c879e7a8d874091c71a30",
-                "d95bccbd91d852766af40c6b828a88246027384adb80aa0bd8b8eea72bcedb5c"),
+    "h1(3,2)": (0, "696443c4b7d08d1bc112c37b17d8ddbbdfe4d0220b371db734ee80198bd9c775",
+                "e9a76b5876cda497469f00cc1064f625864f9d998ae6d37216c88f3e561b1d28"),
     "TC(3)+TC(3)": (2, "5479640432bb30b96af5c491a1093e96ab0f1e02f5f7282ac8dcd0f733a0ab8e",
                     "82be2fb426081531f4556a58b6a9b4cd22e115d13e21cfafcd7b100aa4b9848e"),
     "h1(3,2) --cap 50": (3, "182b463d2cc72056a64031d5f13cff3f8df9ac3e054d684e547870f15f4e9896",
-                         "202bf9ef9a161ce357e860c312fd4d952b9d661f40d32f42d99e787205b28d15"),
+                         "f6f8c25545bfbae748f33ef23b02598a6241f572a6c0a3dde5d934a2ccae5a5b"),
 }
 
 
