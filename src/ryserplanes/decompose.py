@@ -18,15 +18,15 @@ yield, every edge below it is already dead, so no pair holds that root:
 it dies, and with it its edge orbit under the automorphisms, which map
 pairs onto pairs (orbital branching at the root).  Dead edges leave the
 walk and the partner lookups.  The maps are looked for once, when some
-root is dead and the cover memo holds one entry per vertex, the rule the
-cover climb uses; a `none` certificate lists the roots walked and the maps.
+root is dead and the whole shared cover memo holds one entry per vertex;
+a `none` certificate lists the roots walked and the maps.
 """
 
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Optional
 
-from .errors import SearchTooLarge
+from .errors import SearchTooLarge, UnknownEdge
 from .hypergraph import Certificate, Hypergraph, _bits, _mask
 from .symmetry import _orbit, edge_maps
 
@@ -105,25 +105,21 @@ def _reaching_cliques(s, r, allowed, budget, keep=None, dead=None):
     every time.
 
     `dead`, given by the pair search only, is its `_DeadRoots`: edges that
-    no disjoint pair holds, a set that may grow at any node (`visit`).  A
-    dead candidate is skipped, a child's candidates leave out dead edges,
-    and a clique that has come to hold a dead edge is abandoned.  A root
-    whose walk ends with no yield, and that is still live, is handed to
-    `dead.finish`.  With no `dead` the walk is the one described above.
+    no disjoint pair holds, a set that may grow at any node.  A candidate
+    whose clique `dead.holds` a dead edge is skipped at no node, and a
+    child's candidates leave out dead edges.  A root whose walk ends with no
+    yield is handed to `dead.finish`.  With no `dead` the walk is the one
+    described above.
     """
     threshold = r - 2  # tau_le(mask, r - 2) false  <=>  tau >= r - 1
     conflict, vert_edges, edge_verts = s.conflict, s.vert_edges, s.edge_verts
 
     def dfs(mask, cand, covered, size, touched):
         for e in _bits(cand):
-            if dead is not None:
-                dead.visit()
-                if dead.mask & mask:
-                    return  # no pair holds this clique
-                if dead.mask >> e & 1:
-                    continue
-            budget.spend(1)
             sub = mask | (1 << e)
+            if dead is not None and dead.holds(sub):
+                continue  # no pair holds this clique
+            budget.spend(1)
             rest = cand & conflict[e] & ~((1 << (e + 1)) - 1)
             if dead is not None:
                 rest &= ~dead.mask
@@ -143,7 +139,7 @@ def _reaching_cliques(s, r, allowed, budget, keep=None, dead=None):
                         yield from dfs(sub, rest, met or sub, threshold, union)
                     else:
                         yield sub
-            if not mask and dead is not None and not dead.mask >> e & 1:
+            if not mask and dead is not None:
                 dead.finish(e)  # a root whose walk ended with no yield
 
     if not s.tau_le(allowed, threshold):
@@ -165,15 +161,18 @@ def enumerate_kernels(h: Hypergraph, cap: int = DEFAULT_CAP, within: Optional[in
     subfamily, so they cannot be minimal.  Prefixes of a minimal kernel
     never reach the threshold (tau only grows with edges), so every kernel
     is found, in the walk's order.  With `first`, the walk ends at the first
-    kernel.
+    kernel.  A `within` with a bit past the last edge raises `UnknownEdge`.
     """
     s = h.solver()
+    within = s.all_edges if within is None else within
+    if within & ~s.all_edges:
+        raise UnknownEdge(f"edge mask {within} not within hypergraph with {len(h.edges)} edges")
     threshold = h.r - 2
     budget = _Budget(cap)
     kernels = []
     status = "exhausted"
     try:
-        for sub in _reaching_cliques(s, h.r, s.all_edges if within is None else within, budget):
+        for sub in _reaching_cliques(s, h.r, within, budget):
             # dropping the last edge leaves a clique the walk extended
             last = 1 << (sub.bit_length() - 1)
             if all(s.tau_le(sub & ~(1 << f), threshold) for f in _bits(sub ^ last)):
@@ -189,8 +188,8 @@ class _DeadRoots:
     """Edges that no disjoint Ryser pair holds, grown by the pair walk.
 
     `walked` lists the live roots whose walk ended with no yield, in order,
-    and `maps` the automorphisms (the identity left out) whose edge
-    permutations the set is closed under, once they are found; see
+    and `perms` the edge permutations of the automorphisms (the identity
+    left out) that the set is closed under: None until they are found, see
     `find_disjoint_ryser_pair`.
     """
 
@@ -198,24 +197,24 @@ class _DeadRoots:
         self.s = s
         self.mask = 0
         self.walked = []
-        self.maps = None
-        self.edge_maps = []
+        self.perms = None
 
-    def visit(self):
-        # discovery, once: some root is dead and the shared cover memo holds
-        # at least one entry per vertex, the cover climb's own rule
+    def holds(self, clique):
+        # discovery, once: some root is dead and the whole shared cover memo,
+        # not one climb's share of it, holds at least one entry per vertex
         s = self.s
-        if self.maps is None and self.mask and len(s._lower) >= len(s.vids):
-            self.maps = s.automorphisms()[1:]
-            self.edge_maps = edge_maps(s.edge_verts, self.maps)
+        if self.perms is None and self.mask and len(s._lower) >= len(s.vids):
+            self.perms = edge_maps(s.edge_verts, s.automorphisms()[1:])
             self.kill(self.mask)
+        return self.mask & clique
 
     def finish(self, e):
-        self.walked.append(e)
-        self.kill(1 << e)
+        if not self.mask >> e & 1:  # still live
+            self.walked.append(e)
+            self.kill(1 << e)
 
     def kill(self, new):
-        self.mask |= _mask(_orbit(_bits(new), self.edge_maps))
+        self.mask |= _mask(_orbit(_bits(new), self.perms or ()))
 
 
 def find_disjoint_ryser_pair(h: Hypergraph, cap: int = DEFAULT_CAP) -> PairSearchResult:
@@ -243,11 +242,11 @@ def find_disjoint_ryser_pair(h: Hypergraph, cap: int = DEFAULT_CAP) -> PairSearc
     to hold a dead edge, its root included, is abandoned.
 
     The maps are asked of the solver once, at a walk node, when some root
-    is dead and the shared `_lower` memo holds at least one entry per
-    vertex, the rule by which the cover climb asks: a search that succeeds
-    at its first root, or whose cover questions stay small, never pays.
-    A `none` certificate lists the roots walked and the maps, as vertex-id
-    images, that its dead set was closed under.
+    is dead and the whole shared `_lower` memo holds one entry per vertex
+    (the cover climb counts only what its root's first failed child added):
+    a search that succeeds at its first root, or whose cover questions stay
+    small, never pays.  A `none` certificate lists the roots walked and,
+    once asked for, the solver's maps as vertex-id images.
     """
     s = h.solver()
     threshold = h.r - 2
@@ -270,7 +269,7 @@ def find_disjoint_ryser_pair(h: Hypergraph, cap: int = DEFAULT_CAP) -> PairSearc
     except _CapHit:
         outcome, sub = "inconclusive", None
     if sub is None:
-        maps = [[s.vids[p] for p in g] for g in dead.maps or ()]
+        maps = [[s.vids[p] for p in g] for g in (() if dead.perms is None else s._autos[1:])]
         cert = Certificate(
             kind="no_disjoint_pair",
             value={"r": h.r, "visited": budget.spent, "roots": dead.walked, "maps": maps},

@@ -118,7 +118,8 @@ class _ExactSolver:
     by `symmetry._automorphisms`, if the root decides so, once, when its
     first child has failed: only a refutation of at least as many `_lower`
     entries as there are vertices looks, so small trees never pay.  The
-    pair search asks for them by the same rule (`decompose`).
+    pair search counts the whole shared memo instead, once a root of its
+    walk is dead (`decompose`).
     """
 
     def __init__(self, h: Hypergraph):
@@ -200,9 +201,9 @@ class _ExactSolver:
 
         Repeatedly picks a vertex meeting the most edges of U still
         uncovered, the lowest position on a tie.  0 proves nothing; an empty
-        U, with no edge to meet, gets it too.  The one caller is the pair
-        walk (`decompose._reaching_cliques`), which carries the mask down as
-        its cover witness.
+        U, with no edge to meet, gets it too.  The one caller is the clique
+        walk of the kernel and pair searches (`decompose._reaching_cliques`),
+        which carries the mask down as its cover witness.
         """
         met = 0
         for _ in range(b):

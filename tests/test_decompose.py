@@ -12,7 +12,7 @@ from ryserplanes.decompose import (
     enumerate_kernels,
     find_disjoint_ryser_pair,
 )
-from ryserplanes.errors import SearchTooLarge
+from ryserplanes.errors import SearchTooLarge, UnknownEdge
 from ryserplanes.hypergraph import (
     Hypergraph,
     Vertex,
@@ -492,18 +492,88 @@ def test_none_certificate_kills_every_edge(name, orbital):
         assert len(roots) < len(h.edges)
 
 
+@pytest.mark.parametrize("seed, visited", [(1, 119), (2, 394)])
+def test_relabelled_h1_q5_walks_are_frozen(seed, visited):
+    # the numbering decides which roots die first; seed 3 also gives none,
+    # in 8,905 nodes, but takes over a second
+    h = relabelled(build_h1(5, 2)[0], seed)
+    res = find_disjoint_ryser_pair(h, cap=10000)
+    assert res.outcome == "none"
+    assert (res.visited, len(h.solver()._autos)) == (visited, 40)
+
+
+@pytest.mark.parametrize("name, count", [
+    ("h2(4,2)", 71), ("h1(5,2)", 39), ("h1(3,2)", 0), ("TC(5)", 0),
+])
+def test_none_certificate_lists_the_solver_maps(name, count):
+    # the maps come from the solver's cache, the identity left out, and only
+    # if the walk asked for them: where it did not, maps the solver already
+    # held from another search are not listed
+    h = {
+        "h2(4,2)": lambda: build_h2(4, 2)[0],
+        "h1(5,2)": lambda: build_h1(5, 2)[0],
+        "h1(3,2)": lambda: build_h1(3, 2)[0],
+        "TC(5)": lambda: conic_truncated(5),
+    }[name]()
+    s = h.solver()
+    if not count:
+        s.automorphisms()
+    res = find_disjoint_ryser_pair(h)
+    assert res.outcome == "none"
+    maps = res.certificate.value["maps"]
+    assert len(maps) == count
+    if count:
+        assert maps == [[s.vids[p] for p in g] for g in s._autos[1:]]
+
+
+def discover(dead):
+    """What `_DeadRoots.holds` does on discovery, whatever the memo holds."""
+    dead.perms = edge_maps(dead.s.edge_verts, dead.s.automorphisms()[1:])
+    dead.kill(dead.mask)
+
+
+def test_a_root_killed_during_its_own_walk_is_not_listed(monkeypatch):
+    # discovery put off to the 50th question after the first dead root runs
+    # inside root 2's walk of h1(3,2), where the orbits of roots 0 and 1
+    # kill root 2: its walk ends, but only live roots are listed
+    import ryserplanes.decompose as decompose
+
+    holds, finish = decompose._DeadRoots.holds, decompose._DeadRoots.finish
+    asked, finished = [], []
+
+    def late(self, clique):
+        if self.perms is None and self.mask:
+            asked.append(clique)
+            if len(asked) == 50:
+                discover(self)
+        return holds(self, clique)
+
+    def recording(self, e):
+        finished.append((e, self.mask >> e & 1))
+        finish(self, e)
+
+    monkeypatch.setattr(decompose._DeadRoots, "holds", late)
+    monkeypatch.setattr(decompose._DeadRoots, "finish", recording)
+    res = find_disjoint_ryser_pair(build_h1(3, 2)[0])
+    assert res.outcome == "none"
+    assert (2, 1) in finished
+    assert res.certificate.value["roots"] == [e for e, was_dead in finished if not was_dead]
+
+
 def test_orbits_from_the_first_dead_root_agree_with_brute_force(monkeypatch):
     # the discovery rule keeps tiny searches from looking for symmetry, so
     # here the maps are asked for as soon as a root dies; half the corpus
     # is two copies of one family, whose swap kills roots in pairs
     import ryserplanes.decompose as decompose
 
-    def eager(self):
-        if self.maps is None and self.mask:
-            self.maps = self.s.automorphisms()[1:]
-            self.kill(self.mask)
+    holds = decompose._DeadRoots.holds
 
-    monkeypatch.setattr(decompose._DeadRoots, "visit", eager)
+    def eager(self, clique):
+        if self.perms is None and self.mask:
+            discover(self)
+        return holds(self, clique)
+
+    monkeypatch.setattr(decompose._DeadRoots, "holds", eager)
     rng = random.Random(4242)
     orbital = 0
     for i in range(120):
@@ -517,7 +587,11 @@ def test_orbits_from_the_first_dead_root_agree_with_brute_force(monkeypatch):
         assert (res.outcome == "some") == brute_force_disjoint_pair(h)
         if res.outcome == "some":
             assert_kernel_pair(h, res.pair)
-        orbital += bool(res.certificate.value.get("maps"))
+        else:
+            # a walk that ran, and whose orbits spared it some root
+            s = h.solver()
+            walked = not s.tau_le(s.all_edges, h.r - 2)
+            orbital += walked and len(res.certificate.value["roots"]) < len(h.edges)
     assert orbital > 10
 
 
@@ -567,6 +641,21 @@ def test_search_agrees_with_brute_force_on_small_instances():
             assert_kernel_pair(h, res.pair)
         hits += expect
     assert hits > 0  # the corpus must exercise both outcomes
+
+
+@pytest.mark.parametrize("past", ["far", "next", "negative"])
+def test_kernel_walk_refuses_a_mask_past_its_edges(past):
+    h, _ = build_h1(3, 2)
+    within = {"far": 1 << 200, "next": 1 << len(h.edges), "negative": -1}[past]
+    with pytest.raises(UnknownEdge):
+        enumerate_kernels(h, within=within)
+
+
+def test_kernel_walk_within_no_edge_finds_nothing():
+    h, _ = build_h1(3, 2)
+    enum = enumerate_kernels(h, within=0)
+    assert (enum.kernels, enum.status) == ((), "exhausted")
+    assert enumerate_kernels(h, within=h.solver().all_edges) == enumerate_kernels(h)
 
 
 def test_restricting_to_a_kernel_gives_an_intersecting_ryser_subhypergraph():
