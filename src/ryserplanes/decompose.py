@@ -13,13 +13,12 @@ search is partner-first: it keeps a clique only while the edges avoiding
 its support still hold a kernel, so the first clique to reach r - 1 is one
 half of a pair, and a completed walk certifies a negative answer.
 
-The pair search also kills edges.  When a root of its walk ends with no
-yield, every edge below it is already dead, so no pair holds that root:
-it dies, and with it its edge orbit under the automorphisms, which map
-pairs onto pairs (orbital branching at the root).  Dead edges leave the
-walk and the partner lookups.  The maps are looked for once, when some
-root is dead and the whole shared cover memo holds one entry per vertex;
-a `none` certificate lists the roots walked and the maps.
+Three rules keep that walk small, each dropping only cliques that no pair
+needs: a root's partner avoids the edges below it (the root floor), a
+candidate whose clique would have no partner is dropped before it is
+visited (the look-ahead), and a partner's existence is shown from a greedy
+witness before any kernel walk searches for one.  Each rule's argument is
+given where it lives, in `_reaching_cliques` and `find_disjoint_ryser_pair`.
 """
 
 from dataclasses import dataclass
@@ -28,7 +27,6 @@ from typing import Optional
 
 from .errors import SearchTooLarge, UnknownEdge
 from .hypergraph import Certificate, Hypergraph, _bits, _mask
-from .symmetry import _orbit, edge_maps
 
 DEFAULT_CAP = 10 ** 7
 
@@ -78,7 +76,7 @@ class _Budget:
             raise _CapHit
 
 
-def _reaching_cliques(s, r, allowed, budget, keep=None, dead=None):
+def _reaching_cliques(s, r, allowed, budget, keep=None):
     """Cliques within `allowed` whose cover number reaches r - 1.
 
     Cliques are visited in ascending edge-id order, one budget node each,
@@ -89,10 +87,21 @@ def _reaching_cliques(s, r, allowed, budget, keep=None, dead=None):
     prefix of a clique that reaches the threshold, so every minimal kernel
     is yielded unless `keep` drops one of its prefixes.
 
+    `keep`, given by the pair search only, is asked about the edges a
+    clique touches: those meeting its support, and those below its root
+    (the root floor, see `find_disjoint_ryser_pair`).  It must reject every
+    superset of a set it rejects.  At a kept node the walk also looks
+    ahead: each candidate f is dropped if `keep` rejects the touched edges
+    with f's conflicts added.  Any clique holding f touches at least those
+    edges, so `keep` would reject it and all of its extensions.  A dropped
+    f is in no clique the walk would keep, so the walk yields the same
+    cliques in the same order, and the cover cut fires on the smaller
+    candidate set.
+
     Each level hands its children two facts that would otherwise be
     rebuilt at every node.  `touched`, the union of `conflict` over the
-    clique, is the set of edges meeting its support; `keep` is given it in
-    place of the clique.  `covered` and `size` are a cover witness: some
+    clique with the root's floor, is given to `keep` in place of the
+    clique.  `covered` and `size` are a cover witness: some
     set C of at most `size` <= r - 2 vertices meets every edge of
     `covered`, and `covered` holds the clique.  A child whose new edge is
     in `covered`, or that can take one vertex of that edge into C, has a
@@ -103,13 +112,6 @@ def _reaching_cliques(s, r, allowed, budget, keep=None, dead=None):
     every cut and every yield still rests on `tau_le`, and the walk, its
     budget and its `keep` questions are those of a walk that asks `tau_le`
     every time.
-
-    `dead`, given by the pair search only, is its `_DeadRoots`: edges that
-    no disjoint pair holds, a set that may grow at any node.  A candidate
-    whose clique `dead.holds` a dead edge is skipped at no node, and a
-    child's candidates leave out dead edges.  A root whose walk ends with no
-    yield is handed to `dead.finish`.  With no `dead` the walk is the one
-    described above.
     """
     threshold = r - 2  # tau_le(mask, r - 2) false  <=>  tau >= r - 1
     conflict, vert_edges, edge_verts = s.conflict, s.vert_edges, s.edge_verts
@@ -117,14 +119,14 @@ def _reaching_cliques(s, r, allowed, budget, keep=None, dead=None):
     def dfs(mask, cand, covered, size, touched):
         for e in _bits(cand):
             sub = mask | (1 << e)
-            if dead is not None and dead.holds(sub):
-                continue  # no pair holds this clique
             budget.spend(1)
             rest = cand & conflict[e] & ~((1 << (e + 1)) - 1)
-            if dead is not None:
-                rest &= ~dead.mask
-            union = touched | conflict[e]
-            if (keep is None or keep(union)) and not s.tau_le(sub | rest, threshold):
+            union = (touched or (1 << e) - 1) | conflict[e]  # a root: its floor
+            if keep is not None:
+                if not keep(union):
+                    continue
+                rest = _mask(f for f in _bits(rest) if keep(union | conflict[f]))
+            if not s.tau_le(sub | rest, threshold):
                 if not rest:
                     yield sub
                 elif covered >> e & 1:
@@ -139,11 +141,18 @@ def _reaching_cliques(s, r, allowed, budget, keep=None, dead=None):
                         yield from dfs(sub, rest, met or sub, threshold, union)
                     else:
                         yield sub
-            if not mask and dead is not None:
-                dead.finish(e)  # a root whose walk ended with no yield
 
     if not s.tau_le(allowed, threshold):
         yield from dfs(0, allowed, 0, 0, 0)
+
+
+def _shrink(s, mask, threshold):
+    """Drop the edges of `mask` in ascending order while its cover number
+    stays above `threshold`: a mask with tau > threshold becomes minimal."""
+    for f in _bits(mask):
+        if not s.tau_le(mask & ~(1 << f), threshold):
+            mask &= ~(1 << f)
+    return mask
 
 
 def _kernel(s, r, mask) -> RyserKernel:
@@ -184,107 +193,88 @@ def enumerate_kernels(h: Hypergraph, cap: int = DEFAULT_CAP, within: Optional[in
     return KernelEnumeration(tuple(kernels), status, budget.spent)
 
 
-class _DeadRoots:
-    """Edges that no disjoint Ryser pair holds, grown by the pair walk.
-
-    `walked` lists the live roots whose walk ended with no yield, in order,
-    and `perms` the edge permutations of the automorphisms (the identity
-    left out) that the set is closed under: None until they are found, see
-    `find_disjoint_ryser_pair`.
-    """
-
-    def __init__(self, s):
-        self.s = s
-        self.mask = 0
-        self.walked = []
-        self.perms = None
-
-    def holds(self, clique):
-        # discovery, once: some root is dead and the whole shared cover memo,
-        # not one climb's share of it, holds at least one entry per vertex
-        s = self.s
-        if self.perms is None and self.mask and len(s._lower) >= len(s.vids):
-            self.perms = edge_maps(s.edge_verts, s.automorphisms()[1:])
-            self.kill(self.mask)
-        return self.mask & clique
-
-    def finish(self, e):
-        if not self.mask >> e & 1:  # still live
-            self.walked.append(e)
-            self.kill(1 << e)
-
-    def kill(self, new):
-        self.mask |= _mask(_orbit(_bits(new), self.perms or ()))
-
-
 def find_disjoint_ryser_pair(h: Hypergraph, cap: int = DEFAULT_CAP) -> PairSearchResult:
     """Two support-disjoint kernels, or proof that there are none.
 
-    The partner of a clique is the first kernel among the live edges that
-    avoid its support, found by `enumerate_kernels` and memoised per edge
-    mask.  The walk drops a clique without a partner: its extensions have
-    larger supports, so they have none either.  The first clique to reach
-    r - 1 with a partner is shrunk to a kernel, one edge dropped at a time
-    while the cover number stays r - 1, and paired with that partner.
-    `cap` bounds the walk's nodes and the partner searches' nodes together.
+    The walk keeps a clique only while a partner exists: a kernel among
+    the edges that avoid its support.  Its extensions have larger supports,
+    so a clique without one is dropped with all of them.  The first clique
+    to reach r - 1 is shrunk to a kernel, one edge dropped at a time while
+    the cover number stays r - 1, and paired with the first kernel of the
+    walk's order among the edges it avoids.  `cap` bounds the walk's nodes
+    and the kernel walks' nodes together, that last one included.
 
-    Dead roots.  An edge is dead once no pair can hold it, and dead edges
-    are left out of the walk and of every partner lookup.  Roots are walked
-    in ascending order, so when root e ends with no yield every edge below
-    e is dead.  A pair avoiding the dead edges and holding e then has e as
-    the lowest edge of the half that holds it, and the walk from e would
-    have found that half with its partner; so no pair holds e, and e dies.
-    An automorphism maps pairs onto pairs, so e's whole edge orbit dies
-    with it (orbital branching at the root; Ostrowski, Linderoth, Rossi &
-    Smriglio 2011).  Each map is checked edge by edge and the dead set is
-    closed under the listed maps' edge permutations to a fixed point, so
-    this rests on no claim that the list is a group.  A clique that comes
-    to hold a dead edge, its root included, is abandoned.
+    The root floor.  Roots are walked in ascending order and the walk ends
+    at its first yield, so no root below the current root e has yielded.
+    If a pair held an edge below e, the root f of the lowest edge in either
+    half would have: each prefix of the half holding f has the other half,
+    whose edges all lie above f, as a partner (by induction on the roots,
+    the floor at f leaves out only edges below f).  So the edges below e
+    count as touched, and the partner lookups leave them out.  For the
+    same reason no kernel avoiding the yielded clique holds one of them,
+    and the reported partner is the first kernel among all the edges that
+    avoid its support.
 
-    The maps are asked of the solver once, at a walk node, when some root
-    is dead and the whole shared `_lower` memo holds one entry per vertex
-    (the cover climb counts only what its root's first failed child added):
-    a search that succeeds at its first root, or whose cover questions stay
-    small, never pays.  A `none` certificate lists the roots walked and,
-    once asked for, the solver's maps as vertex-id images.
+    Witness-first lookups.  The walk only asks whether a partner exists,
+    memoised per edge mask `avoid`.  There is none if `avoid` is empty or
+    has a cover of r - 2 vertices.  Otherwise one clique is grown
+    greedily, each step taking the candidate with the most conflicts
+    among those left (the lowest id on a tie).  If it reaches r - 1 it is
+    shrunk to a kernel K, and `enumerate_kernels` confirms K in |K| nodes;
+    if not, `enumerate_kernels` searches `avoid` itself.  Every answer
+    thus rests on `tau_le` and on a kernel walk, and every lookup is
+    counted in `visited`.
     """
     s = h.solver()
     threshold = h.r - 2
+    conflict = s.conflict
     budget = _Budget(cap)
     partners = {}
-    dead = _DeadRoots(s)
 
-    def partner(touched):
-        # touched: the edges meeting a clique's support (see `_reaching_cliques`)
-        avoid = s.all_edges & ~touched & ~dead.mask
+    def first_kernel(within):
+        enum = enumerate_kernels(h, budget.cap - budget.spent, within=within, first=True)
+        budget.spend(enum.visited)
+        return enum.kernels[0] if enum.kernels else None
+
+    def holds_kernel(avoid):
+        if not avoid or s.tau_le(avoid, threshold):
+            return False
+        clique, cand = 0, avoid
+        while cand:
+            f = max(_bits(cand), key=lambda f: (conflict[f] & cand).bit_count())
+            clique |= 1 << f
+            cand &= conflict[f] & ~(1 << f)
+        if not s.tau_le(clique, threshold):
+            avoid = _shrink(s, clique, threshold)  # a kernel: the walk confirms it
+        return first_kernel(avoid) is not None
+
+    def has_partner(touched):
+        # touched: the edges meeting a clique's support and, from the root
+        # floor, those below its root (see `_reaching_cliques`)
+        avoid = s.all_edges & ~touched
         if avoid not in partners:
-            enum = enumerate_kernels(h, budget.cap - budget.spent, within=avoid, first=True)
-            budget.spend(enum.visited)
-            partners[avoid] = enum.kernels[0] if enum.kernels else None
+            partners[avoid] = holds_kernel(avoid)
         return partners[avoid]
 
     outcome = "none"
     try:
-        sub = next(_reaching_cliques(s, h.r, s.all_edges, budget, partner, dead), None)
+        sub = next(_reaching_cliques(s, h.r, s.all_edges, budget, has_partner), None)
+        if sub is not None:
+            touched = (sub & -sub) - 1  # the root floor
+            for e in _bits(sub):
+                touched |= conflict[e]
+            second = first_kernel(s.all_edges & ~touched)
     except _CapHit:
         outcome, sub = "inconclusive", None
     if sub is None:
-        maps = [[s.vids[p] for p in g] for g in (() if dead.perms is None else s._autos[1:])]
         cert = Certificate(
             kind="no_disjoint_pair",
-            value={"r": h.r, "visited": budget.spent, "roots": dead.walked, "maps": maps},
+            value={"r": h.r, "visited": budget.spent},
             witness=None,
             exhaustive=outcome == "none",
         )
         return PairSearchResult(outcome, None, budget.spent, cert)
-    touched = 0
-    for e in _bits(sub):
-        touched |= s.conflict[e]
-    second = partner(touched)  # a memo hit: the walk kept sub
-    for f in _bits(sub):
-        if not s.tau_le(sub & ~(1 << f), threshold):
-            sub &= ~(1 << f)
-    pair = WitnessPair(_kernel(s, h.r, sub), second)
+    pair = WitnessPair(_kernel(s, h.r, _shrink(s, sub, threshold)), second)
     cert = Certificate(
         kind="disjoint_pair",
         value={"r": h.r, "tau_first": pair.first.tau, "tau_second": pair.second.tau},

@@ -118,8 +118,7 @@ class _ExactSolver:
     by `symmetry._automorphisms`, if the root decides so, once, when its
     first child has failed: only a refutation of at least as many `_lower`
     entries as there are vertices looks, so small trees never pay.  The
-    pair search counts the whole shared memo instead, once a root of its
-    walk is dead (`decompose`).
+    pair search of `decompose` asks for no maps.
     """
 
     def __init__(self, h: Hypergraph):

@@ -4,9 +4,8 @@ A hypergraph is given here as `edge_verts`, each edge a tuple of vertex
 positions 0..n-1, and a map as a tuple g with g[p] the image of position p.
 The maps are found by individualisation-refinement and each is checked to
 send every edge onto an edge, so every listed map is an automorphism; the
-list need not be a whole group.  The cover search branches by vertex
-orbits (`_fixing`, `hypergraph._ExactSolver.tau_le`) and the pair search
-kills edge orbits (`edge_maps`, `decompose.find_disjoint_ryser_pair`).
+list need not be a whole group.  Their one user is the cover climb, which
+branches by vertex orbits (`_fixing`, `hypergraph._ExactSolver.tau_le`).
 """
 
 # `_automorphisms` stops closing its maps under composition at this many
@@ -128,11 +127,3 @@ def _orbit(seeds, maps) -> set:
                 orbit.add(g[x])
                 todo.append(g[x])
     return orbit
-
-
-def edge_maps(edge_verts, maps) -> list:
-    """Each vertex map as the permutation of edge ids it induces; each must
-    send every edge onto an edge, as each map `_automorphisms` lists does.
-    `_orbit` over these closes a set of edges."""
-    index = {frozenset(ev): ei for ei, ev in enumerate(edge_verts)}
-    return [tuple(index[frozenset(g[p] for p in ev)] for ev in edge_verts) for g in maps]

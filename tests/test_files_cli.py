@@ -353,12 +353,13 @@ def test_cli_oracle_output_is_frozen(capsys, kind, q):
 # sha256 of decompose's stdout and of its certificate file, one case per
 # exit code: no pair (0), a pair (2) and a cap hit (3)
 DECOMPOSE_BYTES = {
-    "h1(3,2)": (0, "696443c4b7d08d1bc112c37b17d8ddbbdfe4d0220b371db734ee80198bd9c775",
-                "e9a76b5876cda497469f00cc1064f625864f9d998ae6d37216c88f3e561b1d28"),
-    "TC(3)+TC(3)": (2, "5479640432bb30b96af5c491a1093e96ab0f1e02f5f7282ac8dcd0f733a0ab8e",
+    "h1(3,2)": (0, "49115fe9ddce1caceff8641e0e84dea6ece7b7e3e472d2353b37799ace27f262",
+                "4db73868bb5084d1709312a7a4a1e096cec839201c3ce26469c8a5df6ca80459"),
+    "TC(3)+TC(3)": (2, "b4ecbac49796d6557c2d8ef77797de32c0c1b2789af257e33e2dec16096b1826",
                     "82be2fb426081531f4556a58b6a9b4cd22e115d13e21cfafcd7b100aa4b9848e"),
-    "h1(3,2) --cap 50": (3, "182b463d2cc72056a64031d5f13cff3f8df9ac3e054d684e547870f15f4e9896",
-                         "f6f8c25545bfbae748f33ef23b02598a6241f572a6c0a3dde5d934a2ccae5a5b"),
+    # h1(3,2) is decided in 21 nodes
+    "h1(3,2) --cap 10": (3, "1a8b1b76d9f583c41ce63166d14bf771454b565032aab24085c22cf48bd30745",
+                         "4fb4a4ce921fcd5278f7f61cbf53594999e8b41ee3ec0d083262818f4098d67f"),
 }
 
 
@@ -370,7 +371,7 @@ def test_cli_decompose_output_is_frozen(tmp_path, capsys, case):
         h = build_h1(3, 2)[0]
     path, cert = tmp_path / "in.json", tmp_path / "cert.json"
     save_hypergraph(path, h)
-    extra = ["--cap", "50"] if case.endswith("--cap 50") else []
+    extra = ["--cap", "10"] if case.endswith("--cap 10") else []
     code, stdout_sha, cert_sha = DECOMPOSE_BYTES[case]
     assert _run(tmp_path, "decompose", "--in", path, "--cert", cert, *extra) == code
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == stdout_sha
