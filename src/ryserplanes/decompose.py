@@ -77,7 +77,8 @@ class _Budget:
 
 
 def _reaching_cliques(s, r, allowed, budget, keep=None):
-    """Cliques within `allowed` whose cover number reaches r - 1.
+    """Cliques within `allowed` whose cover number reaches r - 1, each
+    yielded with the edges it touches.
 
     Cliques are visited in ascending edge-id order, one budget node each,
     and one that reaches the threshold is yielded and not extended.  A
@@ -101,8 +102,8 @@ def _reaching_cliques(s, r, allowed, budget, keep=None):
     Each level hands its children two facts that would otherwise be
     rebuilt at every node.  `touched`, the union of `conflict` over the
     clique with the root's floor, is given to `keep` in place of the
-    clique.  `covered` and `size` are a cover witness: some
-    set C of at most `size` <= r - 2 vertices meets every edge of
+    clique and yielded with it.  `covered` and `size` are a cover witness:
+    some set C of at most `size` <= r - 2 vertices meets every edge of
     `covered`, and `covered` holds the clique.  A child whose new edge is
     in `covered`, or that can take one vertex of that edge into C, has a
     cover of r - 2 vertices with no search.  Only otherwise does the walk
@@ -128,7 +129,7 @@ def _reaching_cliques(s, r, allowed, budget, keep=None):
                 rest = _mask(f for f in _bits(rest) if keep(union | conflict[f]))
             if not s.tau_le(sub | rest, threshold):
                 if not rest:
-                    yield sub
+                    yield sub, union
                 elif covered >> e & 1:
                     yield from dfs(sub, rest, covered, size, union)
                 elif size < threshold:
@@ -140,7 +141,7 @@ def _reaching_cliques(s, r, allowed, budget, keep=None):
                     if met or s.tau_le(sub, threshold):
                         yield from dfs(sub, rest, met or sub, threshold, union)
                     else:
-                        yield sub
+                        yield sub, union
 
     if not s.tau_le(allowed, threshold):
         yield from dfs(0, allowed, 0, 0, 0)
@@ -153,6 +154,12 @@ def _shrink(s, mask, threshold):
         if not s.tau_le(mask & ~(1 << f), threshold):
             mask &= ~(1 << f)
     return mask
+
+
+def _check_arity(h):
+    # below r = 2 every family, the empty one too, has tau >= r - 1
+    if h.r < 2:
+        raise ValueError(f"a kernel needs r >= 2, got r = {h.r}")
 
 
 def _kernel(s, r, mask) -> RyserKernel:
@@ -170,8 +177,10 @@ def enumerate_kernels(h: Hypergraph, cap: int = DEFAULT_CAP, within: Optional[in
     subfamily, so they cannot be minimal.  Prefixes of a minimal kernel
     never reach the threshold (tau only grows with edges), so every kernel
     is found, in the walk's order.  With `first`, the walk ends at the first
-    kernel.  A `within` with a bit past the last edge raises `UnknownEdge`.
+    kernel.  A `within` with a bit past the last edge raises `UnknownEdge`,
+    and r < 2 raises `ValueError`.
     """
+    _check_arity(h)
     s = h.solver()
     within = s.all_edges if within is None else within
     if within & ~s.all_edges:
@@ -181,7 +190,7 @@ def enumerate_kernels(h: Hypergraph, cap: int = DEFAULT_CAP, within: Optional[in
     kernels = []
     status = "exhausted"
     try:
-        for sub in _reaching_cliques(s, h.r, within, budget):
+        for sub, _ in _reaching_cliques(s, h.r, within, budget):
             # dropping the last edge leaves a clique the walk extended
             last = 1 << (sub.bit_length() - 1)
             if all(s.tau_le(sub & ~(1 << f), threshold) for f in _bits(sub ^ last)):
@@ -200,9 +209,9 @@ def find_disjoint_ryser_pair(h: Hypergraph, cap: int = DEFAULT_CAP) -> PairSearc
     the edges that avoid its support.  Its extensions have larger supports,
     so a clique without one is dropped with all of them.  The first clique
     to reach r - 1 is shrunk to a kernel, one edge dropped at a time while
-    the cover number stays r - 1, and paired with the first kernel of the
-    walk's order among the edges it avoids.  `cap` bounds the walk's nodes
-    and the kernel walks' nodes together, that last one included.
+    the cover number stays r - 1, and paired with the kernel that its own
+    partner lookup found.  `cap` bounds the walk's nodes and the kernel
+    walks' nodes together.  Raises `ValueError` for r < 2.
 
     The root floor.  Roots are walked in ascending order and the walk ends
     at its first yield, so no root below the current root e has yielded.
@@ -210,35 +219,28 @@ def find_disjoint_ryser_pair(h: Hypergraph, cap: int = DEFAULT_CAP) -> PairSearc
     half would have: each prefix of the half holding f has the other half,
     whose edges all lie above f, as a partner (by induction on the roots,
     the floor at f leaves out only edges below f).  So the edges below e
-    count as touched, and the partner lookups leave them out.  For the
-    same reason no kernel avoiding the yielded clique holds one of them,
-    and the reported partner is the first kernel among all the edges that
-    avoid its support.
+    count as touched, and the partner lookups leave them out.
 
-    Witness-first lookups.  The walk only asks whether a partner exists,
-    memoised per edge mask `avoid`.  There is none if `avoid` is empty or
-    has a cover of r - 2 vertices.  Otherwise one clique is grown
-    greedily, each step taking the candidate with the most conflicts
-    among those left (the lowest id on a tie).  If it reaches r - 1 it is
-    shrunk to a kernel K, and `enumerate_kernels` confirms K in |K| nodes;
-    if not, `enumerate_kernels` searches `avoid` itself.  Every answer
-    thus rests on `tau_le` and on a kernel walk, and every lookup is
-    counted in `visited`.
+    Witness-first lookups.  A lookup is memoised per edge mask `avoid`
+    and keeps the kernel it found, or None.  There is none if `avoid` has
+    a cover of r - 2 vertices, as an empty `avoid` has.  Otherwise one
+    clique is grown greedily, each step taking the candidate with the most
+    conflicts among those left (the lowest id on a tie).  If it reaches
+    r - 1 it is shrunk to a kernel K, and `enumerate_kernels` confirms K
+    in |K| nodes; if not, `enumerate_kernels` searches `avoid` itself.
+    Every answer thus rests on `tau_le` and on a kernel walk, and every
+    lookup is counted in `visited`.
     """
+    _check_arity(h)
     s = h.solver()
     threshold = h.r - 2
     conflict = s.conflict
     budget = _Budget(cap)
     partners = {}
 
-    def first_kernel(within):
-        enum = enumerate_kernels(h, budget.cap - budget.spent, within=within, first=True)
-        budget.spend(enum.visited)
-        return enum.kernels[0] if enum.kernels else None
-
-    def holds_kernel(avoid):
-        if not avoid or s.tau_le(avoid, threshold):
-            return False
+    def kernel_in(avoid):
+        if s.tau_le(avoid, threshold):
+            return None
         clique, cand = 0, avoid
         while cand:
             f = max(_bits(cand), key=lambda f: (conflict[f] & cand).bit_count())
@@ -246,24 +248,21 @@ def find_disjoint_ryser_pair(h: Hypergraph, cap: int = DEFAULT_CAP) -> PairSearc
             cand &= conflict[f] & ~(1 << f)
         if not s.tau_le(clique, threshold):
             avoid = _shrink(s, clique, threshold)  # a kernel: the walk confirms it
-        return first_kernel(avoid) is not None
+        enum = enumerate_kernels(h, budget.cap - budget.spent, within=avoid, first=True)
+        budget.spend(enum.visited)
+        return enum.kernels[0] if enum.kernels else None
 
     def has_partner(touched):
         # touched: the edges meeting a clique's support and, from the root
         # floor, those below its root (see `_reaching_cliques`)
         avoid = s.all_edges & ~touched
         if avoid not in partners:
-            partners[avoid] = holds_kernel(avoid)
-        return partners[avoid]
+            partners[avoid] = kernel_in(avoid)
+        return partners[avoid] is not None
 
     outcome = "none"
     try:
-        sub = next(_reaching_cliques(s, h.r, s.all_edges, budget, has_partner), None)
-        if sub is not None:
-            touched = (sub & -sub) - 1  # the root floor
-            for e in _bits(sub):
-                touched |= conflict[e]
-            second = first_kernel(s.all_edges & ~touched)
+        sub, touched = next(_reaching_cliques(s, h.r, s.all_edges, budget, has_partner), (None, 0))
     except _CapHit:
         outcome, sub = "inconclusive", None
     if sub is None:
@@ -274,7 +273,8 @@ def find_disjoint_ryser_pair(h: Hypergraph, cap: int = DEFAULT_CAP) -> PairSearc
             exhaustive=outcome == "none",
         )
         return PairSearchResult(outcome, None, budget.spent, cert)
-    pair = WitnessPair(_kernel(s, h.r, _shrink(s, sub, threshold)), second)
+    # the walk kept `sub` only once the lookup for its touched edges found a kernel
+    pair = WitnessPair(_kernel(s, h.r, _shrink(s, sub, threshold)), partners[s.all_edges & ~touched])
     cert = Certificate(
         kind="disjoint_pair",
         value={"r": h.r, "tau_first": pair.first.tau, "tau_second": pair.second.tau},
@@ -286,7 +286,9 @@ def find_disjoint_ryser_pair(h: Hypergraph, cap: int = DEFAULT_CAP) -> PairSearc
 
 def brute_force_disjoint_pair(h: Hypergraph) -> bool:
     """Reference answer over all pairs of edge subsets, checked on plain
-    vertex sets and not by the solvers; tiny inputs only."""
+    vertex sets and not by the solvers; tiny inputs only.  Raises
+    `ValueError` for r < 2."""
+    _check_arity(h)
     m = len(h.edges)
     if m > 10:
         raise SearchTooLarge(f"{m} edges is past the brute-force budget")
@@ -298,7 +300,7 @@ def brute_force_disjoint_pair(h: Hypergraph) -> bool:
                 continue
             support = set().union(*family)
             # tau >= r - 1: no r - 2 vertices of the support meet every edge
-            k = max(0, min(h.r - 2, len(support)))
+            k = min(h.r - 2, len(support))
             if not any(all(e & set(c) for e in family)
                        for c in combinations(sorted(support), k)):
                 supports.append(support)

@@ -50,6 +50,13 @@ def assert_kernel_pair(h, pair, covered=covered_by):
             assert covered(h, [f for f in k.edge_ids if f != e], h.r - 2)
 
 
+def assert_solver_pair(h, pair):
+    """`assert_kernel_pair` on plain sets, with the cover questions asked
+    of `tau_subfamily`: brute force over the (r - 2)-subsets of a support
+    is past a unit test's budget at r = 8."""
+    assert_kernel_pair(h, pair, covered=lambda h, ids, b: tau_subfamily(h, ids) <= b)
+
+
 def test_conic_truncation_is_a_single_kernel():
     # the whole family is intersecting with tau = r - 1; no proper
     # subfamily reaches the threshold, so it is its own unique kernel
@@ -131,16 +138,14 @@ def test_h2_q7_has_a_disjoint_pair():
 
 
 def test_search_finds_the_h2_q7_pair():
-    # the partner-first search decides h2(7,2) on its own, in a few hundred
+    # the partner-first search decides h2(7,2) on its own, in a few dozen
     # nodes; the pair is re-checked with the solver, as brute force over
     # the 6-vertex subsets of each support is past a unit test's budget
     h, _ = build_h2(7, 2)
     res = find_disjoint_ryser_pair(h, cap=2000)
     assert res.outcome == "some"
     assert res.certificate.exhaustive
-    assert_kernel_pair(
-        h, res.pair, covered=lambda h, ids, b: tau_subfamily(h, ids) <= b
-    )
+    assert_solver_pair(h, res.pair)
     assert tau_subfamily(h, res.pair.first.edge_ids) == 7
     assert tau_subfamily(h, res.pair.second.edge_ids) == 7
 
@@ -161,15 +166,14 @@ def test_pair_search_outcome_is_frozen(nu, outcome):
 
 @pytest.mark.parametrize("name, outcome, ceiling", [
     ("h2(4,2)", "none", 1682),
-    ("h2(4,3)", "some", 230),
+    ("h2(4,3)", "some", 142),
     ("TC(5)", "none", 15),
-    ("TC(5)+TC(5)", "some", 45),
+    ("TC(5)+TC(5)", "some", 30),
 ])
 def test_pair_search_size_does_not_grow(name, outcome, ceiling):
     # search nodes, walk and kernel walks together, do not depend on the
-    # machine; each ceiling is the count when it was set: `some` answers
-    # also pay for re-finding the reported partner, and the `none` rungs'
-    # exact counts are pinned below
+    # machine; each ceiling is the count when it was set, and the `none`
+    # rungs' exact counts are pinned below
     h = {
         "h2(4,2)": lambda: build_h2(4, 2)[0],
         "h2(4,3)": lambda: build_h2(4, 3)[0],
@@ -245,7 +249,8 @@ def test_capped_relabelled_h2_q8_search_runs_no_bound_pass_below_budget_three(mo
 def reference_walk(s, r, allowed, budget, keep=None):
     """`_reaching_cliques` as it reads with no carried facts: every cover
     question goes to `tau_le`, and `keep` gets the edges below the root
-    and the union of `conflict`, rebuilt from the clique's edges."""
+    and the union of `conflict`, rebuilt from the clique's edges and
+    yielded with the clique."""
     threshold = r - 2
 
     def dfs(mask, cand):
@@ -266,16 +271,17 @@ def reference_walk(s, r, allowed, budget, keep=None):
             if rest and s.tau_le(sub, threshold):
                 yield from dfs(sub, rest)
             else:
-                yield sub
+                yield sub, touched
 
     if not s.tau_le(allowed, threshold):
         yield from dfs(0, allowed)
 
 
 def walk_trace(walk, h, cap, with_keep):
-    """What a walk yields, spends and asks `keep` before it ends or hits
-    `cap`; `keep` asks whether the edges avoiding the clique hold a kernel,
-    as the pair search's partner lookup does."""
+    """What a walk yields, cliques with their touched edges, spends and
+    asks `keep` before it ends or hits `cap`; `keep` asks whether the
+    edges avoiding the clique hold a kernel, as the pair search's partner
+    lookup does."""
     s = h.solver()
     asked, partners = [], {}
 
@@ -321,9 +327,10 @@ WALK_CORPUS = {
 @pytest.mark.parametrize("name", WALK_CORPUS)
 def test_carried_facts_leave_the_walk_unchanged(name, with_keep):
     # the cover witness and the conflict union the walk carries only skip
-    # work: it yields the same cliques, spends the same nodes and asks
-    # `keep` about the same unions, look-ahead included, as the walk that
-    # asks `tau_le` each time
+    # work: it yields the same cliques with the same touched edges, spends
+    # the same nodes and asks `keep` about the same unions, look-ahead
+    # included, as the walk that asks `tau_le` each time and rebuilds the
+    # union at each node
     got = walk_trace(_reaching_cliques, WALK_CORPUS[name](), 10 ** 6, with_keep)
     want = walk_trace(reference_walk, WALK_CORPUS[name](), 10 ** 6, with_keep)
     assert got == want
@@ -345,18 +352,17 @@ def test_cap_reports_inconclusive():
 
 def test_cap_counts_partner_lookups():
     # on TC(3) + TC(3) the one partner lookup, for the edges that avoid
-    # edge 0, grows the second copy greedily and confirms it in six nodes;
-    # the walk grows the first copy in six, and the reported partner is
-    # re-found in six more; the cap bounds all three together, so a cap
-    # that the re-find hits reports no pair
+    # edge 0, grows the second copy greedily and confirms it in six nodes,
+    # and the walk grows the first copy in six; the confirmed copy is the
+    # reported partner, and the cap bounds the walk and the lookup together
     tc = conic_truncated(3)
     h = disjoint_union(tc, tc)
     res = find_disjoint_ryser_pair(h)
     assert res.outcome == "some"
-    assert res.visited == 18
-    assert find_disjoint_ryser_pair(h, cap=18).outcome == "some"
-    short = find_disjoint_ryser_pair(h, cap=17)
-    assert (short.outcome, short.pair, short.visited) == ("inconclusive", None, 18)
+    assert res.visited == 12
+    assert find_disjoint_ryser_pair(h, cap=12).outcome == "some"
+    short = find_disjoint_ryser_pair(h, cap=11)
+    assert (short.outcome, short.pair, short.visited) == ("inconclusive", None, 12)
     assert not short.certificate.exhaustive
 
 
@@ -386,16 +392,19 @@ def test_partner_lookups_go_through_the_module(monkeypatch):
     assert sum(spent) > 0
 
 
-# visited and the pair of each decomposable rung; visited counts the
-# re-find of the reported partner too.  None of these searches looks for
+# visited and the pair of each decomposable rung: the walk's first half
+# and the partner its lookup found.  None of these searches looks for
 # symmetry
 SOME_RUNGS = {
-    "h1(3,3)": (69, (2, 3, 4, 5, 6, 13), (15, 16, 17, 18, 19, 20)),
-    "h2(4,3)": (230, (3, 5, 6, 8, 9, 10, 11, 12, 23), (25, 26, 27, 28, 29, 30, 31, 32, 34)),
-    "TC(5)+TC(5)": (45, tuple(range(15)), tuple(range(15, 30))),
-    "h2(7,2)": (200, (0, 5, 6, 10, 11, 12, 16, 17, 18) + tuple(range(22, 27)) + tuple(range(28, 38)),
-                (43,) + tuple(range(50, 71)) + (74, 75, 78)),
-    "TC(3)+TC(3)": (18, tuple(range(6)), tuple(range(6, 12))),
+    "h1(3,3)": (52, (2, 3, 4, 5, 6, 13), (15, 16, 17, 18, 19, 20)),
+    "h2(4,3)": (142, (3, 5, 6, 8, 9, 10, 11, 12, 23), (25, 26, 27, 28, 29, 31, 32, 33, 34)),
+    "TC(5)+TC(5)": (30, tuple(range(15)), tuple(range(15, 30))),
+    "h2(7,2)": (62, (0, 5, 6, 10, 11, 12, 16, 17, 18) + tuple(range(22, 27)) + tuple(range(28, 38)),
+                (43, 53, 54, 55, 57) + tuple(range(59, 77)) + (78,)),
+    "TC(3)+TC(3)": (12, tuple(range(6)), tuple(range(6, 12))),
+    "h1(5,3)": (134, (4, 7, 8, 10, 11, 12) + tuple(range(14, 21)) + (36,), tuple(range(38, 53))),
+    "h2(5,3)": (353, (4, 7, 8, 10, 11, 12) + tuple(range(14, 21)) + (37,),
+                (39, 42) + tuple(range(44, 55))),
 }
 
 
@@ -407,11 +416,37 @@ def test_some_rungs_keep_their_walk(name):
         "TC(5)+TC(5)": lambda: disjoint_union(conic_truncated(5), conic_truncated(5)),
         "h2(7,2)": lambda: build_h2(7, 2)[0],
         "TC(3)+TC(3)": lambda: disjoint_union(conic_truncated(3), conic_truncated(3)),
+        "h1(5,3)": lambda: build_h1(5, 3)[0],
+        "h2(5,3)": lambda: build_h2(5, 3)[0],
     }[name]()
     res = find_disjoint_ryser_pair(h)
     assert res.outcome == "some"
     assert (res.visited, res.pair.first.edge_ids, res.pair.second.edge_ids) == SOME_RUNGS[name]
     assert h.solver()._autos is None
+    # a pinned pair is also a checked one
+    (assert_kernel_pair if h.r <= 6 else assert_solver_pair)(h, res.pair)
+
+
+# visited at seeds 0, 4 and 5: with the reported partner taken from the
+# lookup that kept the yielded clique, each copy is decided in about a
+# hundred nodes
+RELABELLED_H2_Q7 = {0: 96, 4: 95, 5: 104}
+
+
+@pytest.mark.parametrize("seed", RELABELLED_H2_Q7)
+def test_relabelled_h2_q7_reports_the_partner_its_lookup_found(seed):
+    h = relabelled(build_h2(7, 2)[0], seed)
+    res = find_disjoint_ryser_pair(h, cap=2000)
+    assert res.outcome == "some"
+    assert res.visited == RELABELLED_H2_Q7[seed]
+    supports = []
+    for k in (res.pair.first, res.pair.second):
+        edges = [set(h.edges[e]) for e in k.edge_ids]
+        for x, y in combinations(edges, 2):
+            assert x & y
+        supports.append(set().union(*edges))
+        assert tau_subfamily(h, k.edge_ids) == h.r - 1
+    assert supports[0].isdisjoint(supports[1])
 
 
 RELABEL_CORPUS = {
@@ -497,6 +532,18 @@ def test_brute_force_rejects_large_inputs():
     h, _ = build_h1(3, 2)
     with pytest.raises(SearchTooLarge):
         brute_force_disjoint_pair(h)
+
+
+@pytest.mark.parametrize("r", [1, 0])
+def test_searches_refuse_arity_below_two(r):
+    # below r = 2 every family, the empty one too, has tau >= r - 1, so
+    # there is no kernel to speak of: at r = 1 two disjoint one-vertex
+    # edges once gave a `none` from the search, a `True` from the brute
+    # force and kernels with tau = 0 from the kernel walk
+    h = make(1, 2, [(0,), (1,)]) if r == 1 else make(0, 2, [])
+    for search in (enumerate_kernels, find_disjoint_ryser_pair, brute_force_disjoint_pair):
+        with pytest.raises(ValueError, match="r >= 2"):
+            search(h)
 
 
 def random_instance(rng):

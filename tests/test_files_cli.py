@@ -355,7 +355,7 @@ def test_cli_oracle_output_is_frozen(capsys, kind, q):
 DECOMPOSE_BYTES = {
     "h1(3,2)": (0, "49115fe9ddce1caceff8641e0e84dea6ece7b7e3e472d2353b37799ace27f262",
                 "4db73868bb5084d1709312a7a4a1e096cec839201c3ce26469c8a5df6ca80459"),
-    "TC(3)+TC(3)": (2, "b4ecbac49796d6557c2d8ef77797de32c0c1b2789af257e33e2dec16096b1826",
+    "TC(3)+TC(3)": (2, "5479640432bb30b96af5c491a1093e96ab0f1e02f5f7282ac8dcd0f733a0ab8e",
                     "82be2fb426081531f4556a58b6a9b4cd22e115d13e21cfafcd7b100aa4b9848e"),
     # h1(3,2) is decided in 21 nodes
     "h1(3,2) --cap 10": (3, "1a8b1b76d9f583c41ce63166d14bf771454b565032aab24085c22cf48bd30745",
