@@ -173,17 +173,21 @@ def _glue(family, plane: ProjectivePlane, nu: int, lines, e1_point, e2_points, c
     side_of, plane1, keys = _gluing(plane, nu, len(lines))
     Q, P, extra = keys["Q"], keys["P"], keys["extra_vertices"]
     verts = []
-    vmap = {}  # (plane index, point id) -> vertex id
+    vmap = [None]  # vmap[i][point id] -> vertex id in plane i; Q has none
     for i in range(1, nu + 1):
+        row = [None] * len(plane.points)
         for pid, point in enumerate(plane.points):
             if pid == Q or (i > 1 and pid == P):
                 continue
-            vmap[(i, pid)] = len(verts)
+            row[pid] = len(verts)
             verts.append(Vertex(len(verts), f"p{i}:{_coords_str(point.coords)}", side_of[pid]))
+        if i > 1:
+            row[P] = vmap[1][P]
+        vmap.append(row)
     verts += [Vertex(vid, f"v{k}", 0) for k, vid in extra.items()]
 
     def edge(i, pids):
-        return [vmap[(1 if pid == P else i, pid)] for pid in pids]
+        return list(map(vmap[i].__getitem__, pids))
 
     edges = [edge(1, plane.lines[lid].points) for lid in plane1]
     ell_rest = edge(1, plane.lines[keys["ell_line"]].points - {P})

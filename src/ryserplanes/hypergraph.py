@@ -126,13 +126,14 @@ class _ExactSolver:
         pos = {vid: i for i, vid in enumerate(vids)}
         self.vids = vids
         self.all_edges = (1 << len(h.edges)) - 1
-        self.edge_verts = [tuple(pos[v] for v in e) for e in h.edges]
+        self.edge_verts = [tuple(map(pos.__getitem__, e)) for e in h.edges]
         if not all(self.edge_verts):
             raise ValueError("an edge with no vertices has no cover")
-        self.vert_edges = [0] * len(vids)
+        self.vert_edges = vert_edges = [0] * len(vids)
         for ei, ev in enumerate(self.edge_verts):
+            bit = 1 << ei
             for p in ev:
-                self.vert_edges[p] |= 1 << ei
+                vert_edges[p] |= bit
         self.conflict = []
         for ev in self.edge_verts:
             c = 0
@@ -448,7 +449,8 @@ def validate_partite(h: Hypergraph) -> ValidationReport:
         else:
             violations.append({"code": "side_out_of_range", "vertex": v.id, "side": v.side})
     # r distinct sides in range(r) mean r distinct known vertices, one per
-    # side, so no check after the duplicate-edge test can fire on the edge;
+    # side (an unknown vertex reads None, never a side), so no check after
+    # the duplicate-edge test can fire on the edge;
     # a wide family has fewer than r vertices, so no edge of it passes
     every_side = None if wide else set(range(h.r))
     seen_edges = {}
@@ -457,7 +459,7 @@ def validate_partite(h: Hypergraph) -> ValidationReport:
             violations.append({"code": "duplicate_edge", "edge": ei, "other": seen_edges[e]})
         else:
             seen_edges[e] = ei
-        if every_side is not None and len(e) == h.r and {side_of.get(v, -1) for v in e} == every_side:
+        if every_side is not None and len(e) == h.r and set(map(side_of.get, e)) == every_side:
             continue
         if len(set(e)) != len(e):
             violations.append({"code": "repeated_vertex_in_edge", "edge": ei})

@@ -9,7 +9,7 @@ subplanes) or 3(q+1)/2 (prime q).
 """
 
 from dataclasses import dataclass, replace
-from itertools import combinations
+from itertools import chain, combinations, cycle, repeat
 from math import isqrt
 
 from .errors import NotOddPrime, SearchTooLarge
@@ -232,9 +232,11 @@ def min_nontrivial_blocking(q: int) -> BlockerReport:
     the representatives, the only sets classified.  Every other smallest
     blocker is the image of one under a collineation taking a non-collinear
     triple of it to F, so the report is `_report`'s with its list replaced
-    by the representatives' closure under `_GENERATORS`, each image held as
-    the bytes of its ascending point ids (sorting as the point tuples do)
-    with its representative's label.  Two generators reach SL(3, q), and
+    by the representatives' closure under `_GENERATORS`, each image with its
+    representative's label.  The closure runs on point masks with point p
+    at bit n - 1 - p: sets of one size then sort as descending masks just
+    as their ascending point tuples do, and each mask becomes its tuple
+    once, through `_point_chars`.  Two generators reach SL(3, q), and
     `_collineations` checks at run time that they are transitive on
     non-collinear triples, raising `RuntimeError` rather than a short list.
 
@@ -255,11 +257,17 @@ def min_nontrivial_blocking(q: int) -> BlockerReport:
     reps = _report(plane, "nontrivial", budget, kept, visited)
     if reps.minimum <= q + 1:  # the (q+1)-point labels depend on the conic
         raise RuntimeError(f"a nontrivial blocker of {reps.minimum} points, at most q + 1")
-    seeds = dict(zip(map(bytes, reps.blockers), reps.classes))
+    n = len(plane.points)
+    seeds = {_point_mask(b, n): c for b, c in zip(reps.blockers, reps.classes)}
     closed = _closure(_collineations(plane, frame), seeds)
-    keys = sorted(closed)  # bytes sort faster than (bytes, label) pairs
+    keys = sorted(closed, reverse=True)  # every blocker has `minimum` points
     classes = tuple(map(closed.get, keys))
-    return replace(reps, count=len(keys), blockers=tuple(map(tuple, keys)), classes=classes)
+    # every blocker's point ids in a row, `minimum` to a blocker; joined as
+    # str, since `bytes.join` holds an 80-byte buffer view per piece
+    raw = chain.from_iterable(map(int.to_bytes, keys, repeat((n + 7) // 8), repeat("big")))
+    pts = "".join(map(list.__getitem__, cycle(_point_chars(n)), raw)).encode("latin-1")
+    blockers = tuple(zip(*[iter(pts)] * reps.minimum))
+    return replace(reps, count=len(keys), blockers=blockers, classes=classes)
 
 
 # the collineations the nontrivial report closes under, in w = x (element p)
@@ -273,48 +281,99 @@ _GENERATORS = (
 
 def _collineations(plane, frame):
     """Each generator's point permutation, w generating GF(q) over GF(p), as
-    a 256-byte `bytes.translate` table (q <= 7: at most 57 points, 1 byte each).
-
-    Raises `RuntimeError` unless every generator is a bijection of the
-    points that maps each line onto a line, and the orbit of the frame
-    triangle under them holds all n(n-1)(n-q-1)/6 non-collinear triples of
-    the n points: collineations never make a non-collinear triple
-    collinear, so the count settles it.
-    """
-    field, q, n = plane.field, plane.q, len(plane.points)
+    `_generator_tables` gives and checks it: byte image tables of a
+    collineation, or `RuntimeError`."""
+    field = plane.field
     add, mul = field._add, field._mul
     w = field.p if field.k > 1 else 1
-    tables = []
+    perms = []
     for rows in (gen(w) for gen in _GENERATORS):
         images = [
             tuple(add[add[mul[a][x]][mul[b][y]]][mul[c][z]] for a, b, c in rows)
             for x, y, z in (pt.coords for pt in plane.points)
         ]
         # a singular matrix sends some point to the zero triple
-        perm = [plane.point_id(v) if any(v) else -1 for v in images]
+        perms.append([plane.point_id(v) if any(v) else -1 for v in images])
+    return _generator_tables(plane, frame, perms)
+
+
+def _generator_tables(plane, frame, perms):
+    """`_image_tables` of each point permutation.
+
+    Raises `RuntimeError` unless every permutation is a bijection of the
+    points that maps each line onto a line, and the orbit of the frame
+    triangle under them holds all n(n-1)(n-q-1)/6 non-collinear triples of
+    the n points: collineations never make a non-collinear triple
+    collinear, so the count settles it.
+    """
+    q, n = plane.q, len(plane.points)
+    for perm in perms:
         if sorted(perm) != list(range(n)):
             raise RuntimeError(f"a generator is not a bijection of the points of PG(2,{q})")
-        tables.append(bytes(perm) + bytes(256 - n))
+    tables = [_image_tables(perm) for perm in perms]
     # a direct check: the closure of a non-collineation could be huge
-    lines = {bytes(sorted(ln.points)) for ln in plane.lines}
-    if any(bytes(sorted(ln.translate(t))) not in lines for ln in lines for t in tables):
+    lines = {_point_mask(ln.points, n) for ln in plane.lines}
+    if any(_image(t, m) not in lines for m in lines for t in tables):
         raise RuntimeError(f"a generator maps a line of PG(2,{q}) off the lines")
-    if len(_closure(tables, {bytes(frame): None})) != n * (n - 1) * (n - q - 1) // 6:
+    if len(_closure(tables, {_point_mask(frame, n): None})) != n * (n - 1) * (n - q - 1) // 6:
         raise RuntimeError(f"the generators are not transitive on the triangles of PG(2,{q})")
     return tables
 
 
-def _closure(tables, seeds):
-    """Every image of the seeds (bytes of ascending point ids) under the
-    group the tables generate, breadth first, mapped to its seed's value."""
+# Closure masks put point p at bit n - 1 - p and are read a byte at a time
+# in `int.to_bytes(nb, "big")` order, nb = ceil(n / 8): the first byte, the
+# only partial one, holds the lowest points.
+
+
+def _point_mask(pts, n):
+    return sum(1 << (n - 1 - p) for p in pts)
+
+
+def _byte_tables(n, unit, empty):
+    """Per byte of a closure mask, the list taking each value of that byte
+    to the sum of `unit(p)` over the points p it holds, lowest first, built
+    by doubling over the byte's bits from bit 0 up (descending points)."""
+    tables = []
+    for i in reversed(range((n + 7) // 8)):
+        row = [empty]
+        for b in range(8 * i, min(8 * i + 8, n)):
+            u = unit(n - 1 - b)  # below every point already in the row
+            row += [u + x for x in row]
+        tables.append(row)
+    return tables
+
+
+def _image_tables(perm):
+    """Per byte, the image mask under the bijection `perm` of the points
+    each value of that byte holds: the points' bits are disjoint, so + is |."""
+    n = len(perm)
+    return _byte_tables(n, lambda p: 1 << (n - 1 - perm[p]), 0)
+
+
+def _point_chars(n):
+    """Per byte, the ascending ids of the points each value of that byte
+    holds, one character each (q <= 7: at most 57 points)."""
+    return _byte_tables(n, chr, "")
+
+
+def _image(tables, mask):
+    # a bijection maps the bytes' disjoint point sets to disjoint masks
+    return sum(map(list.__getitem__, tables, mask.to_bytes(len(tables), "big")))
+
+
+def _closure(gens, seeds):
+    """Every image of the seeds (closure masks) under the group the image
+    tables generate, breadth first, mapped to its seed's value."""
     seen = dict(seeds)
     frontier = list(seen)
+    nb, get = len(gens[0]), list.__getitem__
     while frontier:
         nxt = []
-        for b in frontier:
-            value = seen[b]
-            for t in tables:
-                img = bytes(sorted(b.translate(t)))
+        for m in frontier:
+            value = seen[m]
+            bs = m.to_bytes(nb, "big")  # `_image`, the bytes shared by the generators
+            for tables in gens:
+                img = sum(map(get, tables, bs))
                 if img not in seen:
                     seen[img] = value
                     nxt.append(img)

@@ -418,6 +418,101 @@ def test_generators_map_lines_onto_lines(q):
             assert frozenset(image) in lines
 
 
+def generator_perms(plane):
+    """Each of `_GENERATORS`' point permutations, with the w `_collineations`
+    takes (x = element p at q = p^k, k > 1; 1 at prime q), from the field's
+    own add and mul."""
+    f = plane.field
+    w = f.p if f.k > 1 else 1
+    perms = []
+    for gen in oracles._GENERATORS:
+        rows = gen(w)
+        perm = []
+        for pt in plane.points:
+            x = pt.coords
+            y = [f.add(f.add(f.mul(r[0], x[0]), f.mul(r[1], x[1])), f.mul(r[2], x[2])) for r in rows]
+            perm.append(plane.point_id(y))
+        perms.append(perm)
+    return perms
+
+
+def closure_mask(pts, n):
+    """The closure's convention, spelt out here: point p is bit n - 1 - p."""
+    return sum(2 ** (n - 1 - p) for p in pts)
+
+
+def closure_points(mask, n):
+    return {p for p in range(n) if mask >> (n - 1 - p) & 1}
+
+
+@pytest.mark.parametrize("q", [3, 4, 5, 7])
+def test_image_tables_map_masks_as_the_points(q):
+    # n = 13, 21, 31, 57: the first byte of every mask is a partial one
+    plane = plane_build(q)
+    n = len(plane.points)
+    assert n % 8
+    rng = random.Random(q)
+    perms = generator_perms(plane) + [rng.sample(range(n), n) for _ in range(3)]
+    spell = oracles._point_chars(n)
+    assert len(spell[0]) == 2 ** (n % 8) and all(len(row) == 256 for row in spell[1:])
+    for perm in perms:
+        tables = oracles._image_tables(perm)
+        assert len(tables) == len(spell) == (n + 7) // 8
+        for _ in range(200):
+            pts = rng.sample(range(n), rng.randrange(n + 1))
+            mask = closure_mask(pts, n)
+            assert oracles._image(tables, mask) == closure_mask([perm[p] for p in pts], n)
+            raw = mask.to_bytes(len(spell), "big")
+            assert [ord(c) for row, b in zip(spell, raw) for c in row[b]] == sorted(pts)
+
+
+@pytest.mark.parametrize("q", [3, 4, 5, 7])
+def test_frame_closure_matches_one_on_point_sets(q):
+    # the frame triangle's orbit, closed here on frozensets of point ids
+    plane = plane_build(q)
+    n = len(plane.points)
+    frame = frozenset((0, 1, q + 1))
+    perms = generator_perms(plane)
+    seen, frontier = {frame}, [frame]
+    while frontier:
+        frontier = [img for s in frontier for perm in perms if (img := frozenset(perm[p] for p in s)) not in seen]
+        seen.update(frontier)
+    assert len(seen) == n * (n - 1) * (n - q - 1) // 6
+    gens = oracles._collineations(plane, tuple(frame))
+    closed = oracles._closure(gens, {closure_mask(frame, n): None})
+    assert {frozenset(closure_points(m, n)) for m in closed} == seen
+
+
+def test_descending_masks_sort_as_ascending_tuples_of_one_size():
+    rng = random.Random(5)
+    n = 31
+    for k in (1, 2, 9, 30):
+        sets = {tuple(sorted(rng.sample(range(n), k))) for _ in range(300)}
+        by_mask = sorted(sets, key=lambda s: closure_mask(s, n), reverse=True)
+        assert by_mask == sorted(sets)
+
+
+def test_descending_masks_misorder_sets_of_two_sizes():
+    # (0,) sorts before (0, 1) as tuples, but its mask is the smaller, so
+    # only blockers of one size (the report's minimum) may go through it
+    n = 31
+    assert (0,) < (0, 1)
+    assert closure_mask((0,), n) < closure_mask((0, 1), n)
+
+
+def test_line_check_refuses_a_bijection_off_the_lines():
+    # swapping two points is a bijection, but a line through one of them
+    # and not the other goes to a set that shares q points with it
+    q = 3
+    plane = plane_build(q)
+    frame = (0, 1, q + 1)
+    swap = list(range(len(plane.points)))
+    swap[5], swap[6] = 6, 5
+    assert len(oracles._generator_tables(plane, frame, generator_perms(plane))) == 2
+    with pytest.raises(RuntimeError, match="off the lines"):
+        oracles._generator_tables(plane, frame, generator_perms(plane) + [swap])
+
+
 def plain_minimal_blockers(plane, line_ids, budget):
     """The blocker search with every leaf a call of its own: the reference
     the last-level shortcut in `_minimal_blockers` must agree with, in its
