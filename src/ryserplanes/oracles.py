@@ -148,12 +148,14 @@ def _classify(plane, conic, pts) -> str:
             # d >= 2 and n = |C - line| is q - 1, q or q + 1.  A tangent (n = q)
             # gives no swap: at the conic report's prime q the one subgroup
             # order d >= 2 is q, and trading C - line for line - C gives the line.
-            for line in plane.lines:
-                if s2 <= line.points - cset and not s1 & line.points:
-                    # a cyclic group of order n = q +/- 1 has a subgroup of order d | n
-                    n = len(cset - line.points)
-                    if n != q and n % len(s1) == 0:
-                        return "conic_swap"
+            # The d points of s2 lie on one line at most: the one through two of them.
+            a, b, *_ = s2
+            line = line_through(plane, a, b)
+            if s2 <= line.points - cset and not s1 & line.points:
+                # a cyclic group of order n = q +/- 1 has a subgroup of order d | n
+                n = len(cset - line.points)
+                if n != q and n % len(s1) == 0:
+                    return "conic_swap"
     root = isqrt(q)
     if root * root == q and root > 1 and len(fs) == q + root + 1:
         for quad in combinations(sorted(fs), 4):
@@ -232,13 +234,14 @@ def min_nontrivial_blocking(q: int) -> BlockerReport:
     the representatives, the only sets classified.  Every other smallest
     blocker is the image of one under a collineation taking a non-collinear
     triple of it to F, so the report is `_report`'s with its list replaced
-    by the representatives' closure under `_GENERATORS`, each image with its
-    representative's label.  The closure runs on point masks with point p
-    at bit n - 1 - p: sets of one size then sort as descending masks just
-    as their ascending point tuples do, and each mask becomes its tuple
-    once, through `_point_chars`.  Two generators reach SL(3, q), and
-    `_collineations` checks at run time that they are transitive on
-    non-collinear triples, raising `RuntimeError` rather than a short list.
+    by the representatives' closure under the two point maps of
+    `_generator_perms`, each image with its representative's label.  The
+    closure runs on point masks with point p at bit n - 1 - p: sets of one
+    size then sort as descending masks just as their ascending point tuples
+    do, and each mask becomes its tuple once, through `_point_chars`.  The
+    two maps reach SL(3, q), and `_collineations` checks at run time that
+    they are transitive on non-collinear triples, raising `RuntimeError`
+    rather than a short list.
 
     Past q + 1 points the labels are `baer_subplane` or `other`, read off
     `is_arc` and `baer_closure`, which every collineation keeps; those of
@@ -270,31 +273,25 @@ def min_nontrivial_blocking(q: int) -> BlockerReport:
     return replace(reps, count=len(keys), blockers=blockers, classes=classes)
 
 
-# the collineations the nontrivial report closes under, in w = x (element p)
-# or 1 at prime q: (x0 : x1 : x2) -> (x1 : x2 : w x0) and x0 += x1 give SL(3, q)
-# since GF(p)[w] = GF(q) (Taylor 1992), but exactness rests on the orbit check
-_GENERATORS = (
-    lambda w: ((0, 1, 0), (0, 0, 1), (w, 0, 0)),
-    lambda w: ((1, 1, 0), (0, 1, 0), (0, 0, 1)),
-)
-
-
 def _collineations(plane, frame):
-    """Each generator's point permutation, w generating GF(q) over GF(p), as
-    `_generator_tables` gives and checks it: byte image tables of a
-    collineation, or `RuntimeError`."""
+    """`_generator_tables` of `_generator_perms` at w = x (element p) at
+    q = p^k, k > 1, and w = 1 at prime q: byte image tables of two
+    collineations, or `RuntimeError`."""
     field = plane.field
-    add, mul = field._add, field._mul
-    w = field.p if field.k > 1 else 1
-    perms = []
-    for rows in (gen(w) for gen in _GENERATORS):
-        images = [
-            tuple(add[add[mul[a][x]][mul[b][y]]][mul[c][z]] for a, b, c in rows)
-            for x, y, z in (pt.coords for pt in plane.points)
-        ]
-        # a singular matrix sends some point to the zero triple
-        perms.append([plane.point_id(v) if any(v) else -1 for v in images])
-    return _generator_tables(plane, frame, perms)
+    return _generator_tables(plane, frame, _generator_perms(plane, field.p if field.k > 1 else 1))
+
+
+def _generator_perms(plane, w):
+    """The point permutations of (x0 : x1 : x2) -> (x1 : x2 : w x0) and of
+    x0 += x1.  For w != 0 both are collineations, and they generate SL(3, q)
+    when GF(p)[w] = GF(q) (Taylor 1992); exactness rests on neither fact,
+    but on `_generator_tables`' checks."""
+    add, mul = plane.field._add, plane.field._mul
+    coords = [pt.coords for pt in plane.points]
+    return [
+        [plane.point_id((y, z, mul[w][x])) for x, y, z in coords],
+        [plane.point_id((add[x][y], y, z)) for x, y, z in coords],
+    ]
 
 
 def _generator_tables(plane, frame, perms):

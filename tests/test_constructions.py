@@ -499,6 +499,8 @@ def test_labels_round_trip(h1_32):
     assert parse_point_label("p2:(0:1:1)") == (2, (0, 1, 1))
     vid = vertex_by_label(h, "p1:(1:1:1)")
     assert h.vertex(vid).label == "p1:(1:1:1)"
+    with pytest.raises(KeyError):
+        vertex_by_label(h, "absent")
 
 
 # ---- hand-sized witness and embeddings ----

@@ -2,6 +2,10 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -24,6 +28,8 @@ from ryserplanes.files import (
     save_hypergraph,
 )
 from ryserplanes.hypergraph import Hypergraph, Vertex, disjoint_union
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def _instances():
@@ -155,6 +161,8 @@ MALFORMED_FILES = {
     "string_side": {"format_version": 1, "r": 2, "edges": [],
                     "vertices": [{"id": 0, "label": "a", "side": "0"}]},
     "top_level_list": [],
+    "string_edge_id": {"format_version": 1, "r": 2, "vertices": [], "edges": [["0", 1]]},
+    "edge_not_a_list": {"format_version": 1, "r": 2, "vertices": [], "edges": [5]},
 }
 
 
@@ -311,7 +319,7 @@ def test_cli_parser_is_built_once_and_keeps_no_state(tmp_path, capsys, monkeypat
     assert [json.loads(line)["outcome"] for line in out] == ["inconclusive", "some", "some"]
 
 
-@pytest.mark.parametrize("cap", ["0", "-5"])
+@pytest.mark.parametrize("cap", ["0", "-5", "abc", "1.5"])
 def test_cli_decompose_rejects_a_cap_below_one(tmp_path, capsys, cap):
     # a cap that stops the search before it starts is a flag error, not
     # an inconclusive verdict
@@ -334,6 +342,22 @@ def test_cli_oracle(capsys):
 
     assert main(["oracle", "conic-blockers", "--q", "4"]) == 1
     assert "error: NotOddPrime" in capsys.readouterr().err
+
+
+def test_module_entry_exits_with_main_code(tmp_path, capsys):
+    # `python -m ryserplanes.cli` runs main through its __main__ guard
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+
+    def module(*argv):
+        return subprocess.run([sys.executable, "-m", "ryserplanes.cli", *argv], cwd=tmp_path,
+                              env=env, capture_output=True, text=True, timeout=120)
+
+    done = module("oracle", "blocking", "--q", "2")
+    assert main(["oracle", "blocking", "--q", "2"]) == 0
+    assert (done.returncode, done.stdout, done.stderr) == (0, capsys.readouterr().out, "")
+    done = module("decompose", "--in", "x.json", "--cap", "abc")
+    assert (done.returncode, done.stdout) == (1, "")
+    assert done.stderr.count("\n") == 1 and "--cap" in done.stderr
 
 
 # sha256 of the oracle command's stdout: the JSON line, key order and all

@@ -5,6 +5,7 @@ import pytest
 
 from ryserplanes.errors import NotAnArc, NotSquareOrder, SamePoint
 from ryserplanes.geometry import (
+    Conic,
     baer_closure,
     classify_line,
     conic_canonical,
@@ -104,6 +105,8 @@ def test_normalize_scales_to_leading_one():
     plane = plane_build(5)
     assert plane.normalize((0, 2, 4)) == (0, 1, 2)
     assert plane.normalize((3, 1, 2)) == (1, 2, 4)
+    with pytest.raises(ValueError, match="zero triple"):
+        plane.normalize((0, 0, 0))
 
 
 @pytest.mark.parametrize("q", [3, 4, 5, 7])
@@ -130,6 +133,15 @@ def test_line_classification_totals(q, expected):
     for line in plane.lines:
         counts[classify_line(conic, line)] += 1
     assert (counts["tangent"], counts["secant"], counts["external"]) == expected
+
+
+def test_classify_line_refuses_three_collinear_points():
+    # a conic is an arc, so no line meets it in three points
+    plane = plane_build(3)
+    line = plane.lines[0]
+    three = Conic(points=tuple(sorted(line.points))[:3], nucleus=None)
+    with pytest.raises(ValueError, match="3 collinear conic points"):
+        classify_line(three, line)
 
 
 def test_tangent_count_through_nucleus():

@@ -73,6 +73,14 @@ def test_zero_has_no_inverse():
         f.inv(0)
 
 
+@pytest.mark.parametrize("a", [5, -1])
+def test_checked_ops_refuse_non_elements(a):
+    f = FieldSpec(5)
+    for op in (lambda: f.add(a, 1), lambda: f.add(1, a), lambda: f.mul(a, 1), lambda: f.inv(a)):
+        with pytest.raises(ValueError, match="not an element of GF"):
+            op()
+
+
 def test_gf4_arithmetic_of_x():
     f = FieldSpec(4)
     assert f.add(2, 3) == 1  # x + (x+1) = 1 in GF(4)

@@ -338,39 +338,43 @@ def test_nontrivial_pass_of_only_lines_raises(monkeypatch):
 def test_closure_refuses_generators_short_of_transitive(monkeypatch):
     # the coordinate cycle alone maps lines to lines but fixes the frame;
     # the report must raise, not list only the frame representatives
-    monkeypatch.setattr(oracles, "_GENERATORS", oracles._GENERATORS[:1])
+    perms = oracles._generator_perms
+    monkeypatch.setattr(oracles, "_generator_perms", lambda plane, w: perms(plane, w)[:1])
     with pytest.raises(RuntimeError, match="not transitive"):
         min_nontrivial_blocking(3)
 
 
 def test_closure_refuses_a_singular_generator(monkeypatch):
     # (x0 : x0 : x2) sends (0:1:0) to the zero triple: no bijection of the points
-    singular = (lambda w: ((1, 0, 0), (1, 0, 0), (0, 0, 1)),)
-    monkeypatch.setattr(oracles, "_GENERATORS", oracles._GENERATORS + singular)
+    perms = oracles._generator_perms
+    singular = matrix_perm(plane_build(3), ((1, 0, 0), (1, 0, 0), (0, 0, 1)))
+    assert singular[1] == -1
+    monkeypatch.setattr(oracles, "_generator_perms", lambda plane, w: perms(plane, w) + [singular])
     with pytest.raises(RuntimeError, match="not a bijection"):
         min_nontrivial_blocking(3)
 
 
 def test_transvection_alone_is_not_transitive(monkeypatch):
     # x0 += x1 alone has order p, so the frame's orbit holds at most p triangles
-    monkeypatch.setattr(oracles, "_GENERATORS", oracles._GENERATORS[1:])
+    perms = oracles._generator_perms
+    monkeypatch.setattr(oracles, "_generator_perms", lambda plane, w: perms(plane, w)[1:])
     with pytest.raises(RuntimeError, match="not transitive"):
         oracles._collineations(plane_build(3), (0, 1, 4))
 
 
 @pytest.mark.parametrize("q,transitive", [(3, True), (4, False), (5, True)])
-def test_cycle_must_be_scaled_by_a_field_generator(monkeypatch, q, transitive):
+def test_cycle_must_be_scaled_by_a_field_generator(q, transitive):
     # the bare cycle and x0 += x1 have entries in GF(p) only: at prime q
     # that is the field, but at q = 4 they generate a copy of GL(3, 2), 168
     # maps for 1,120 triangles, so w must generate GF(q) over GF(p)
-    bare = (lambda w: ((0, 1, 0), (0, 0, 1), (1, 0, 0)), oracles._GENERATORS[1])
-    monkeypatch.setattr(oracles, "_GENERATORS", bare)
     plane, frame = plane_build(q), (0, 1, q + 1)
+    bare = oracles._generator_perms(plane, 1)
+    assert bare == generator_perms(plane, 1)
     if transitive:
-        assert len(oracles._collineations(plane, frame)) == 2
+        assert len(oracles._generator_tables(plane, frame, bare)) == 2
     else:
         with pytest.raises(RuntimeError, match="not transitive"):
-            oracles._collineations(plane, frame)
+            oracles._generator_tables(plane, frame, bare)
 
 
 @pytest.mark.parametrize("q", [3, 4, 5])
@@ -406,34 +410,41 @@ def test_generators_map_lines_onto_lines(q):
         return k
 
     w = next(a for a in f.elements() if a and order(a) == q - 1)
+    perms = oracles._generator_perms(plane, w)
+    assert perms == generator_perms(plane, w)
     lines = {line.points for line in plane.lines}
-    for gen in oracles._GENERATORS:
-        rows = gen(w)
+    for perm in perms:
         for line in plane.lines:
-            image = set()
-            for p in line.points:
-                x = plane.points[p].coords
-                y = [f.add(f.add(f.mul(r[0], x[0]), f.mul(r[1], x[1])), f.mul(r[2], x[2])) for r in rows]
-                image.add(plane.point_id(y))
-            assert frozenset(image) in lines
+            assert frozenset(perm[p] for p in line.points) in lines
 
 
-def generator_perms(plane):
-    """Each of `_GENERATORS`' point permutations, with the w `_collineations`
-    takes (x = element p at q = p^k, k > 1; 1 at prime q), from the field's
-    own add and mul."""
+# the two collineations `_generator_perms` gives, as matrices in w: the
+# coordinate cycle scaled by w, (x0 : x1 : x2) -> (x1 : x2 : w x0), and x0 += x1
+GENERATOR_MATRICES = (
+    lambda w: ((0, 1, 0), (0, 0, 1), (w, 0, 0)),
+    lambda w: ((1, 1, 0), (0, 1, 0), (0, 0, 1)),
+)
+
+
+def matrix_perm(plane, rows):
+    """The point map of a 3x3 matrix, from the field's own add and mul; -1
+    marks a point the matrix sends to the zero triple."""
     f = plane.field
-    w = f.p if f.k > 1 else 1
-    perms = []
-    for gen in oracles._GENERATORS:
-        rows = gen(w)
-        perm = []
-        for pt in plane.points:
-            x = pt.coords
-            y = [f.add(f.add(f.mul(r[0], x[0]), f.mul(r[1], x[1])), f.mul(r[2], x[2])) for r in rows]
-            perm.append(plane.point_id(y))
-        perms.append(perm)
-    return perms
+    perm = []
+    for pt in plane.points:
+        x = pt.coords
+        y = [f.add(f.add(f.mul(r[0], x[0]), f.mul(r[1], x[1])), f.mul(r[2], x[2])) for r in rows]
+        perm.append(plane.point_id(y) if any(y) else -1)
+    return perm
+
+
+def generator_perms(plane, w=None):
+    """Each of `GENERATOR_MATRICES`' point permutations, by default with the
+    w `_collineations` takes (x = element p at q = p^k, k > 1; 1 at prime q)."""
+    f = plane.field
+    if w is None:
+        w = f.p if f.k > 1 else 1
+    return [matrix_perm(plane, gen(w)) for gen in GENERATOR_MATRICES]
 
 
 def closure_mask(pts, n):
