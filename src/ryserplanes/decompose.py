@@ -22,6 +22,7 @@ given where it lives, in `_reaching_cliques` and `find_disjoint_ryser_pair`.
 """
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import combinations
 from typing import Optional
 
@@ -76,6 +77,20 @@ class _Budget:
             raise _CapHit
 
 
+def _greedy_cover(vert_edges, U, b):
+    """The edges met by at most b vertices, each picked to meet the most
+    edges of U still uncovered (the lowest position on a tie), if they meet
+    all of U; else 0, which proves nothing (an empty U gets it too).  A
+    hint, not an answer: `_reaching_cliques` carries it as a cover witness."""
+    met = 0
+    for _ in range(b):
+        left = U & ~met
+        if not left:
+            break
+        met |= max(vert_edges, key=lambda inc: (inc & left).bit_count())
+    return 0 if U & ~met else met
+
+
 def _reaching_cliques(s, r, allowed, budget, keep=None):
     """Cliques within `allowed` whose cover number reaches r - 1, each
     yielded with the edges it touches.
@@ -107,7 +122,7 @@ def _reaching_cliques(s, r, allowed, budget, keep=None):
     `covered`, and `covered` holds the clique.  A child whose new edge is
     in `covered`, or that can take one vertex of that edge into C, has a
     cover of r - 2 vertices with no search.  Only otherwise does the walk
-    ask `greedy_cover_le`, whose cover is then carried, and last `tau_le`,
+    ask `_greedy_cover`, whose cover is then carried, and last `tau_le`,
     whose yes carries the clique itself at size r - 2.  A witness is a
     cover, so it only skips a `tau_le(clique, r - 2)` whose answer is yes:
     every cut and every yield still rests on `tau_le`, and the walk, its
@@ -137,7 +152,7 @@ def _reaching_cliques(s, r, allowed, budget, keep=None):
                     p = max(edge_verts[e], key=lambda p: (vert_edges[p] & rest).bit_count())
                     yield from dfs(sub, rest, covered | vert_edges[p], size + 1, union)
                 else:
-                    met = s.greedy_cover_le(sub, threshold)
+                    met = _greedy_cover(vert_edges, sub, threshold)
                     if met or s.tau_le(sub, threshold):
                         yield from dfs(sub, rest, met or sub, threshold, union)
                     else:
@@ -236,8 +251,8 @@ def find_disjoint_ryser_pair(h: Hypergraph, cap: int = DEFAULT_CAP) -> PairSearc
     threshold = h.r - 2
     conflict = s.conflict
     budget = _Budget(cap)
-    partners = {}
 
+    @cache  # a lookup that hits the cap raises, and is stored nowhere
     def kernel_in(avoid):
         if s.tau_le(avoid, threshold):
             return None
@@ -255,10 +270,7 @@ def find_disjoint_ryser_pair(h: Hypergraph, cap: int = DEFAULT_CAP) -> PairSearc
     def has_partner(touched):
         # touched: the edges meeting a clique's support and, from the root
         # floor, those below its root (see `_reaching_cliques`)
-        avoid = s.all_edges & ~touched
-        if avoid not in partners:
-            partners[avoid] = kernel_in(avoid)
-        return partners[avoid] is not None
+        return kernel_in(s.all_edges & ~touched) is not None
 
     outcome = "none"
     try:
@@ -273,8 +285,8 @@ def find_disjoint_ryser_pair(h: Hypergraph, cap: int = DEFAULT_CAP) -> PairSearc
             exhaustive=outcome == "none",
         )
         return PairSearchResult(outcome, None, budget.spent, cert)
-    # the walk kept `sub` only once the lookup for its touched edges found a kernel
-    pair = WitnessPair(_kernel(s, h.r, _shrink(s, sub, threshold)), partners[s.all_edges & ~touched])
+    # the walk kept `sub` once its touched edges' lookup found a kernel: read it back
+    pair = WitnessPair(_kernel(s, h.r, _shrink(s, sub, threshold)), kernel_in(s.all_edges & ~touched))
     cert = Certificate(
         kind="disjoint_pair",
         value={"r": h.r, "tau_first": pair.first.tau, "tau_second": pair.second.tau},

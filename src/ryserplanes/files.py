@@ -104,7 +104,7 @@ def file_digest(path) -> str:
         return "sha256:" + hashlib.sha256(f.read()).hexdigest()
 
 
-def certificate_to_dict(cert: Certificate, input_digest: str = None) -> dict:
+def certificate_to_dict(cert: Certificate, input_digest: str) -> dict:
     return {
         "claim": cert.kind,
         "values": dict(cert.value),
@@ -114,10 +114,9 @@ def certificate_to_dict(cert: Certificate, input_digest: str = None) -> dict:
     }
 
 
-def save_certificate(path, cert: Certificate, input_path=None) -> None:
-    digest = file_digest(input_path) if input_path else None
+def save_certificate(path, cert: Certificate, input_path) -> None:
     with open(path, "w", encoding="utf-8") as f:
-        json.dump(certificate_to_dict(cert, digest), f, indent=2, sort_keys=True)
+        json.dump(certificate_to_dict(cert, file_digest(input_path)), f, indent=2, sort_keys=True)
         f.write("\n")
 
 

@@ -195,24 +195,6 @@ class _ExactSolver:
 
     # ---- cover ----
 
-    def greedy_cover_le(self, U: int, b: int) -> int:
-        """Upper-bound witness: the edges met by a cover of U of at most b
-        vertices, a mask that holds U, or 0 when the greedy finds none.
-
-        Repeatedly picks a vertex meeting the most edges of U still
-        uncovered, the lowest position on a tie.  0 proves nothing; an empty
-        U, with no edge to meet, gets it too.  The one caller is the clique
-        walk of the kernel and pair searches (`decompose._reaching_cliques`),
-        which carries the mask down as its cover witness.
-        """
-        met = 0
-        for _ in range(b):
-            left = U & ~met
-            if not left:
-                break
-            met |= max(self.vert_edges, key=lambda inc: (inc & left).bit_count())
-        return 0 if U & ~met else met
-
     def components(self, U: int) -> list:
         comps = []
         rem = U
@@ -278,13 +260,10 @@ class _ExactSolver:
         if b <= 2:
             # the leaf: every cover holds a vertex p of U's lowest edge, so
             # U has a cover of at most 2 iff some U - inc(p) is empty or met
-            # by one vertex of its own lowest edge; one p per distinct role
+            # by one vertex of its own lowest edge; every p is tried
             vert_edges = self.vert_edges
-            tried = set()
             for p in self.edge_verts[(U & -U).bit_length() - 1]:
                 left = U & ~vert_edges[p]
-                if left in tried:
-                    continue
                 if not left:
                     self.found = 1 << p
                     return True
@@ -293,7 +272,6 @@ class _ExactSolver:
                         if not left & ~vert_edges[v]:
                             self.found = 1 << p | 1 << v
                             return True
-                tried.add(left)
             return False
         groups = None  # set only when this visit computes U's own bound
         if lb <= 0:

@@ -21,6 +21,7 @@ from ryserplanes.constructions import (
 )
 from ryserplanes.errors import (
     ArityMismatch,
+    InfeasibleChoice,
     NotOddPrime,
     NotPrimePower,
     NuTooSmall,
@@ -200,6 +201,31 @@ def test_h2_closure_excludes_p_and_s(h2_42):
     ch = recipe.chosen
     assert ch["P"] not in ch["closure"]
     assert ch["S"] not in ch["closure"]
+
+
+def test_h2_skips_an_arc_whose_subplane_holds_p(monkeypatch):
+    # at q = 4 the first arc's subplane avoids P = 1; made to hold it, the
+    # arc is passed over and the search moves on to the next T3
+    import ryserplanes.constructions as constructions
+
+    closure = constructions.baer_closure
+
+    def holding_p(plane, quad):
+        got = closure(plane, quad)
+        return got | {1} if quad == (0, 2, 5, 11) else got
+
+    monkeypatch.setattr(constructions, "baer_closure", holding_p)
+    ch = build_h2(4, 2)[1].chosen
+    assert (ch["P"], ch["T1"], ch["T2"], ch["T3"]) == (1, 2, 5, 12)
+    assert ch["S_candidates"] == [6, 8]
+
+
+def test_h2_with_no_arc_raises_infeasible_choice(monkeypatch):
+    import ryserplanes.constructions as constructions
+
+    monkeypatch.setattr(constructions, "is_arc", lambda plane, pts: False)
+    with pytest.raises(InfeasibleChoice, match="q=4"):
+        build_h2(4, 2)
 
 
 def test_h2_edge_classes_partition_and_intersect(h2_42):

@@ -7,6 +7,7 @@ from ryserplanes.constructions import build_h1, build_h2, conic_truncated
 from ryserplanes.decompose import (
     _Budget,
     _CapHit,
+    _greedy_cover,
     _reaching_cliques,
     brute_force_disjoint_pair,
     enumerate_kernels,
@@ -22,6 +23,7 @@ from ryserplanes.hypergraph import (
 )
 from ryserplanes.symmetry import _orbit
 from test_hypergraph import make, relabelled
+from test_hypergraph import random_instance as solver_instance
 
 
 def covered_by(h, edge_ids, b):
@@ -196,6 +198,28 @@ def test_pair_search_memo_does_not_grow():
     assert len(h.solver()._lower) <= 730
 
 
+def test_greedy_cover_is_a_cover_of_at_most_b_vertices():
+    # a nonzero answer is the set of edges met by at most b vertices, and
+    # holds U; checked by brute force on plain vertex sets
+    rng = random.Random(31)
+    for _ in range(40):
+        h = solver_instance(rng)
+        s = h.solver()
+        ids = [v.id for v in h.vertices]
+        for _ in range(5):
+            U = rng.randrange(1, s.all_edges + 1)
+            b = rng.randrange(-1, 4)
+            met = _greedy_cover(s.vert_edges, U, b)
+            if met:
+                assert U & ~met == 0
+                assert any(
+                    met == sum(1 << i for i, e in enumerate(h.edges) if set(e) & set(pick))
+                    for k in range(b + 1)
+                    for pick in combinations(ids, k)
+                )
+            assert b >= 0 or met == 0
+
+
 def capped_h2_q8():
     """h2(8,2) relabelled at seed 1, which the pair search does not decide
     within 2,000 nodes: a capped search that stops at its cap."""
@@ -207,14 +231,16 @@ def test_capped_relabelled_h2_q8_search_does_not_grow(monkeypatch):
     # the cap, so the cost per node is what can grow, in memo entries or in
     # greedy cover passes (the carried cover witness settles all but a few
     # nodes without one)
+    import ryserplanes.decompose as decompose
+
     calls = []
-    original = _ExactSolver.greedy_cover_le
+    original = decompose._greedy_cover
 
-    def counting(self, U, b):
+    def counting(vert_edges, U, b):
         calls.append(U)
-        return original(self, U, b)
+        return original(vert_edges, U, b)
 
-    monkeypatch.setattr(_ExactSolver, "greedy_cover_le", counting)
+    monkeypatch.setattr(decompose, "_greedy_cover", counting)
     h = capped_h2_q8()
     res = find_disjoint_ryser_pair(h, cap=2000)
     assert res.outcome == "inconclusive"

@@ -23,11 +23,13 @@ from ryserplanes.files import (
     file_digest,
     hypergraph_from_dict,
     hypergraph_to_dict,
+    certificate_to_dict,
     load_certificate,
     load_hypergraph,
+    save_certificate,
     save_hypergraph,
 )
-from ryserplanes.hypergraph import Hypergraph, Vertex, disjoint_union
+from ryserplanes.hypergraph import Hypergraph, Vertex, disjoint_union, is_ryser
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -400,6 +402,21 @@ def test_cli_decompose_output_is_frozen(tmp_path, capsys, case):
     assert _run(tmp_path, "decompose", "--in", path, "--cert", cert, *extra) == code
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == stdout_sha
     assert hashlib.sha256(cert.read_bytes()).hexdigest() == cert_sha
+
+
+def test_certificate_must_name_its_input(tmp_path):
+    # a certificate with no input digest could be replayed against any file
+    h = build_h1(3, 2)[0]
+    cert = is_ryser(h)
+    with pytest.raises(TypeError):
+        certificate_to_dict(cert)
+    with pytest.raises(TypeError):
+        save_certificate(tmp_path / "cert.json", cert)
+    assert not (tmp_path / "cert.json").exists()
+    path = tmp_path / "in.json"
+    save_hypergraph(path, h)
+    save_certificate(tmp_path / "cert.json", cert, path)
+    assert load_certificate(tmp_path / "cert.json")["input_digest"] == file_digest(path)
 
 
 def test_cli_embed(tmp_path, capsys):

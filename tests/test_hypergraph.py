@@ -19,6 +19,7 @@ from ryserplanes.constructions import (
     conic_truncated,
     truncated_plane,
 )
+from ryserplanes.decompose import _greedy_cover
 from ryserplanes.errors import ArityMismatch, UnknownEdge
 from ryserplanes.hypergraph import (
     Hypergraph,
@@ -405,29 +406,7 @@ def test_empty_subfamily_has_cover_number_zero(b, want):
     h = build_h1(3, 2)[0]
     assert tau_subfamily(h, []) == 0
     assert tau_subfamily_at_most(h, [], b) is want
-    assert h.solver().greedy_cover_le(0, b) == 0  # 0 claims nothing
-
-
-def test_greedy_cover_is_a_cover_of_at_most_b_vertices():
-    # a nonzero answer is the set of edges met by at most b vertices, and
-    # holds U; checked by brute force on plain vertex sets
-    rng = random.Random(31)
-    for _ in range(40):
-        h = random_instance(rng)
-        s = h.solver()
-        ids = [v.id for v in h.vertices]
-        for _ in range(5):
-            U = rng.randrange(1, s.all_edges + 1)
-            b = rng.randrange(-1, 4)
-            met = s.greedy_cover_le(U, b)
-            if met:
-                assert U & ~met == 0
-                assert any(
-                    met == sum(1 << i for i, e in enumerate(h.edges) if set(e) & set(pick))
-                    for k in range(b + 1)
-                    for pick in combinations(ids, k)
-                )
-            assert b >= 0 or met == 0
+    assert _greedy_cover(h.solver().vert_edges, 0, b) == 0  # 0 claims nothing
 
 
 @pytest.mark.parametrize("ids", [[999], [0, 1, 999], [4], [-1]])
